@@ -67,10 +67,12 @@ def product_values(terms, r):
 
 
 def _group_by_exponent(terms, alpha_tol):
+    # measured from the group's first (smallest) exponent, so that a group
+    # spans at most alpha_tol and close neighbours cannot chain into one
     order = sorted(range(len(terms)), key=lambda i: terms[i].alpha)
     groups = []
     for i in order:
-        if groups and terms[i].alpha - terms[groups[-1][-1]].alpha <= alpha_tol:
+        if groups and terms[i].alpha - terms[groups[-1][0]].alpha <= alpha_tol:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -104,11 +106,10 @@ def classify_product(terms, alpha_tol=0.0):
             raise DomainError("classification requires every coefficient nonzero")
 
     groups = _group_by_exponent(terms, alpha_tol)
-    alphas = sorted(t.alpha for t in terms)
+    # neighbouring exponents kept in different groups, yet within 10x the tolerance
     near_collision = any(
-        0.0 < alphas[i + 1] - alphas[i] <= 10.0 * alpha_tol
-        and alphas[i + 1] - alphas[i] > alpha_tol
-        for i in range(len(alphas) - 1)
+        0.0 < terms[b[0]].alpha - terms[a[-1]].alpha <= 10.0 * alpha_tol
+        for a, b in zip(groups, groups[1:])
     )
 
     beta_scale = sum(abs(t.beta) for t in terms)

@@ -20,7 +20,7 @@ from .errors import (
     ModelMismatchError,
     UnwrapResolutionError,
 )
-from .symbols import Tabulated
+from .symbols import Tabulated, _check_radii, _wrapped_steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,8 +67,7 @@ def unwrap_phase(s, values, base_value=None, base_index=0, jump_slack=0.05):
         raise InvalidInputError(f"base index {base_index} out of range")
 
     raw = np.angle(values)
-    steps = np.diff(raw)
-    wrapped = np.mod(steps + np.pi, TWO_PI) - np.pi
+    wrapped = _wrapped_steps(raw)
     bad = np.where(np.abs(wrapped) >= np.pi - jump_slack)[0]
     if bad.size:
         i = int(bad[0])
@@ -221,6 +220,7 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01,
     if float(np.max(np.abs(profile.values - 1.0))) <= tol:
         return IdentificationResult(0.0, 0.0, 0, 0, None, 0.0, None, True)
 
+    _check_radii(profile, profile.r)
     base_index = int(np.argmin(np.abs(profile.s)))
     trace = unwrap_phase(profile.s, profile.values, base_index=base_index)
     m, n = branch_integers(trace, pair, tol=branch_tol)

@@ -5,11 +5,11 @@ Everything acts through the frequency side.  Translation and symbol
 application are exact per-bin operations; signal dilation needs band-limited
 (trigonometric) interpolation of the spectrum at off-grid frequencies and is
 the one operation with a discretization budget (~1e-8 for spatially decaying
-signals), so every identity that crosses it carries that tolerance.
+signals), so every identity that crosses it carries that tolerance.  The
+interpolation itself is exact: the rescaled frequencies lie on a uniform grid,
+so each run of them is a fractional DFT, evaluated by Bluestein's chirp-z in
+O(n log n) time and O(n) memory.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,17 +51,35 @@ def translate(f, a):
     return inverse_transform(Spectrum(f.grid, shifted))
 
 
-def _nudft_spectrum(values, grid, xi_eval, block=512):
-    """Evaluate the trigonometric interpolant of the spectrum at arbitrary
-    frequencies: (dx/sqrt(2*pi)) * sum_j f_j exp(-i*xi*x_j), blocked to keep
-    the phase matrix small."""
-    out = np.empty(xi_eval.size, dtype=complex)
-    scale = grid.dx / _SQRT_TWO_PI
-    for start in range(0, xi_eval.size, block):
-        chunk = xi_eval[start:start + block]
-        kernel = np.exp(-1j * np.outer(chunk, grid.x))
-        out[start:start + chunk.size] = kernel @ values
-    return out * scale
+def _chirp_spectrum(values, grid, lam, k0, m):
+    """Spectrum of the samples at the m frequencies lam*dxi*(k0 + q), q < m.
+
+    The sum (dx/sqrt(2*pi)) * sum_j f_j exp(-i*xi_q*x_j) is a fractional DFT
+    with angle theta = 2*pi*lam/n, evaluated exactly by Bluestein's chirp-z:
+    with centered indices J = j - n/2 (so x_j = dx*J) and Q = q - c, the
+    identity Q*J = (Q^2 + J^2 - (Q - J)^2)/2 turns it into one linear
+    convolution with the chirp exp(i*theta*D^2/2), done by FFTs of length at
+    least n + m - 1.  Every phase is an exact integer times theta/2, so its
+    rounding does not grow along the run.
+    """
+    n = grid.n
+    c = (m - 1) // 2
+    J = np.arange(-(n // 2), n // 2, dtype=np.int64)
+    Q = np.arange(-c, m - c, dtype=np.int64)
+    D = np.arange(Q[0] - J[-1], Q[-1] - J[0] + 1, dtype=np.int64)
+    turns = round(lam)
+    frac = lam - turns
+
+    def chirp(I):
+        # exp(-i*pi*lam*I/n) for integers I; the whole part of lam acts
+        # through I mod 2n exactly, only the fraction's phase is rounded
+        return np.exp(-1j * np.pi / n * ((turns * (I % (2 * n))) % (2 * n) + frac * I))
+
+    size = 1 << (n + m - 2).bit_length()
+    a = values * chirp(2 * (k0 + c) * J + J * J)
+    h = np.conj(chirp(D * D))
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h, size))[n - 1:n - 1 + m]
+    return conv * chirp(Q * Q) * (grid.dx / _SQRT_TWO_PI)
 
 
 def dilate_signal(f, lam):
@@ -101,7 +119,12 @@ def dilate_signal(f, lam):
     slack = 1.0 + 1e-12
     keep = (np.abs(g.xi) >= out_lo / slack) & (np.abs(g.xi) <= out_hi * slack)
     out = np.zeros(g.n, dtype=complex)
-    out[keep] = _nudft_spectrum(f.values, g, lam * g.xi[keep])
+    # kept bins form one contiguous run of integer bin numbers per sign
+    idx = np.flatnonzero(keep)
+    bins = np.where(idx < g.n // 2, idx, idx - g.n)
+    breaks = np.flatnonzero(np.diff(bins) != 1) + 1
+    for run, k in zip(np.split(idx, breaks), np.split(bins, breaks)):
+        out[run] = _chirp_spectrum(f.values, g, lam, int(k[0]), k.size)
     return inverse_transform(Spectrum(g, out))
 
 
@@ -123,14 +146,6 @@ def conjugated_apply(spec, lam, f, band):
     shrunk = dilate_signal(projected, 1.0 / lam)
     evolved = apply(spec, shrunk, inner_band)
     return dilate_signal(evolved, lam)
-
-
-def _max_workers():
-    raw = os.environ.get("FRACPROP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _probe_ratio(m1, m2, probe_spectrum, band):
@@ -199,10 +214,4 @@ def probe_operator_distance(m1, m2, band, grid, trials, seed):
         if nrm > 0:
             probes.append(Spectrum(grid, bump.astype(complex) / nrm))
 
-    workers = _max_workers()
-    if workers > 1 and len(probes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(lambda p: _probe_ratio(m1, m2, p, band), probes))
-    else:
-        ratios = [_probe_ratio(m1, m2, p, band) for p in probes]
-    return max(ratios)
+    return max(_probe_ratio(m1, m2, p, band) for p in probes)

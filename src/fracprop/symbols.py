@@ -14,10 +14,34 @@ unimodular up to the rounding of ``exp``.
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, SymbolRangeError
+from .errors import DomainError, InvalidInputError, SymbolRangeError, UnwrapResolutionError
 
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
+
+
+def _wrapped_steps(raw):
+    """Increments of principal phases, wrapped into [-pi, pi)."""
+    return np.mod(np.diff(raw) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def _resolved_nodes(steps):
+    """First and last node of the stretch on which the lifted phase is the
+    true phase, judged from the wrapped steps.
+
+    Itoh's condition (Appl. Opt. 21, 1982) asks for true steps below pi, which
+    wrapped data cannot confirm, but it can show where a smooth phase breaks
+    it: where the true step grows past pi the wrapped step changes by 2*pi
+    minus the per-sample curvature, while a jump of the profile itself changes
+    it by at most pi plus that curvature.  Changes above 3*pi/2 mark such
+    crossings, and the stretch kept is the one around the smallest step.
+    """
+    crossings = np.flatnonzero(np.abs(np.diff(steps)) > 1.5 * np.pi) + 1
+    anchor = int(np.argmin(np.abs(steps)))
+    below = crossings[crossings <= anchor]
+    above = crossings[crossings > anchor]
+    return (int(below[-1]) if below.size else 0,
+            int(above[0]) if above.size else steps.size)
 
 
 class ClosedForm:
@@ -50,7 +74,7 @@ class ClosedForm:
 class Tabulated:
     """Radial profile on a strictly increasing, log-uniform radius grid."""
 
-    __slots__ = ("r", "values", "s", "phase", "_spline")
+    __slots__ = ("r", "values", "s", "phase", "_spline", "_resolved")
 
     def __init__(self, r, values):
         r = np.asarray(r, dtype=float)
@@ -69,7 +93,8 @@ class Tabulated:
         mod = np.abs(values)
         if not np.all(np.isfinite(mod)) or np.max(np.abs(mod - 1.0)) > 1e-12:
             raise InvalidInputError("profile values must have unit modulus within 1e-12")
-        phase = np.unwrap(np.angle(values))
+        raw = np.angle(values)
+        phase = np.unwrap(raw)
         for arr in (r, values, s, phase):
             arr.setflags(write=False)
         self.r = r
@@ -77,6 +102,8 @@ class Tabulated:
         self.s = s
         self.phase = phase
         self._spline = _not_a_knot_spline(s, phase)
+        lo, hi = _resolved_nodes(_wrapped_steps(raw))
+        self._resolved = (float(r[lo]), float(r[hi]))
 
     @property
     def r_min(self):
@@ -150,15 +177,29 @@ def _spline_eval(tab, s_query):
 
 
 def _tabulated_phase(tab, radius):
-    lo = tab.r_min * (1.0 - _RANGE_SLACK)
-    hi = tab.r_max * (1.0 + _RANGE_SLACK)
-    if np.any(radius < lo) or np.any(radius > hi):
-        bad = radius[(radius < lo) | (radius > hi)]
-        raise SymbolRangeError(
-            f"radius {np.atleast_1d(bad)[0]:.6g} outside tabulated range "
-            f"[{tab.r_min:.6g}, {tab.r_max:.6g}]"
-        )
+    _check_radii(tab, radius)
     return _spline_eval(tab, np.log(radius))
+
+
+def _check_radii(tab, radius):
+    """Refuse radii outside the table, and radii where it is sampled too
+    coarsely to unwrap the phase (the resolved stretch lies inside the table,
+    so one test covers both on the common path)."""
+    lo = tab._resolved[0] * (1.0 - _RANGE_SLACK)
+    hi = tab._resolved[1] * (1.0 + _RANGE_SLACK)
+    if np.any(radius < lo) or np.any(radius > hi):
+        beyond = ((radius < tab.r_min * (1.0 - _RANGE_SLACK))
+                  | (radius > tab.r_max * (1.0 + _RANGE_SLACK)))
+        if np.any(beyond):
+            raise SymbolRangeError(
+                f"radius {radius[beyond][0]:.6g} outside tabulated range "
+                f"[{tab.r_min:.6g}, {tab.r_max:.6g}]"
+            )
+        raise UnwrapResolutionError(
+            f"radius {radius[(radius < lo) | (radius > hi)][0]:.6g} lies where the "
+            f"profile is sampled too coarsely to unwrap its phase; it resolves only "
+            f"[{tab._resolved[0]:.6g}, {tab._resolved[1]:.6g}]"
+        )
 
 
 def phase(spec, xi):

@@ -167,6 +167,17 @@ def test_identify_cli_unresolvable_profile_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+def test_identify_cli_coarse_profile_exit_4(tmp_path, capsys):
+    # 64 nodes of exp(50i*r^2) on [e^-3, e^3]: the phase steps pass pi
+    sym = tmp_path / "sym.csv"
+    make_symbol_file(sym, 2.0, 50.0, np.exp(-3.0), np.exp(3.0), num=64)
+    code, out, err = run_cli(capsys, [
+        "identify", "--symbol", str(sym), "--a", str(np.sqrt(2.0)), "--b", str(np.sqrt(3.0)),
+    ])
+    assert code == 4 and out == ""
+    assert "too coarsely" in err
+
+
 def test_verify_cli_pass_and_determinism(capsys):
     argv = ["verify", "--alpha", "2", "--beta", "1", "--seed", "7", "--fast"]
     code1, out1, _ = run_cli(capsys, argv)

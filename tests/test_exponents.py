@@ -70,6 +70,16 @@ def test_alpha_tolerance_grouping():
     assert not v.is_identity and v.near_collision
 
 
+def test_alpha_tolerance_does_not_chain():
+    # each pair of neighbours lies within the tolerance, the outer pair does
+    # not; grouping all three would cancel the coefficients 1 + 1 - 2
+    terms = [term(1.0, 1.0), term(1.0 + 0.9e-6, 1.0), term(1.0 + 1.8e-6, -2.0)]
+    v = fp.classify_product(terms, alpha_tol=1e-6)
+    assert not v.is_identity and v.case_label == "none"
+    assert v.near_collision
+    assert not fp.sample_oracle(terms, np.exp(np.linspace(-3.0, 3.0, 4096)))
+
+
 def test_sample_oracle_examples():
     assert fp.sample_oracle([term(2.0, 1.0), term(2.0, -1.0)], ORACLE_GRID)
     assert fp.sample_oracle([term(0.0, 4.0 * np.pi)], ORACLE_GRID)

@@ -6,11 +6,16 @@ Gaussian packets (see conftest.band_packet): their spatial tails vanish inside
 the window, which is what keeps the resampling error under the 1e-8 budget.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fracprop as fp
 from fracprop.errors import DomainError, SymbolRangeError
+from fracprop.operators import _chirp_spectrum
 from conftest import band_packet, evolved_packet_oracle, relative_l2
 
 
@@ -163,18 +168,115 @@ def test_probe_never_exceeds_sup_random_pairs():
         assert est <= sup + 1e-12
 
 
-def test_probe_distance_thread_cap_same_result(monkeypatch):
-    grid = fp.SpatialGrid(1024, 64.0)
-    band = fp.BandSpec(2.0)
-    m1, m2 = fp.ClosedForm(2.0, 4.0), fp.ClosedForm(2.0, 1.0)
-    serial = fp.probe_operator_distance(m1, m2, band, grid, trials=4, seed=5)
-    monkeypatch.setenv("FRACPROP_THREADS", "4")
-    threaded = fp.probe_operator_distance(m1, m2, band, grid, trials=4, seed=5)
-    assert threaded == serial  # per-trial streams make the max order-free
-
-
 def test_apply_propagates_symbol_range_error(packet_grid, wide_band):
     f = band_packet(packet_grid, wide_band)
     narrow = fp.tabulate(fp.ClosedForm(1.0, 1.0), 0.5, 2.0, 64)  # band needs [1/8, 8]
     with pytest.raises(SymbolRangeError):
         fp.apply(narrow, f, wide_band)
+
+
+# ------------------------------------------------ chirp-z spectrum resampling
+
+def dense_spectrum(values, grid, xi):
+    """The direct sum (dx/sqrt(2*pi)) * sum_j f_j exp(-i*xi*x_j), one row per
+    frequency."""
+    return (np.exp(-1j * np.outer(xi, grid.x)) @ values) * grid.dx / np.sqrt(2.0 * np.pi)
+
+
+def resampling_error(got, ref, values, grid):
+    # relative to sqrt(m) * dx/sqrt(2*pi) * ||f||, the norm that m spectrum
+    # values of f have on average, so a single bin where the sum happens to
+    # cancel does not inflate the measure
+    scale = np.sqrt(ref.size) * grid.dx / np.sqrt(2.0 * np.pi) * np.linalg.norm(values)
+    return float(np.linalg.norm(got - ref) / scale)
+
+
+def check_run(n, lam, k0, m, data_seed):
+    grid = fp.SpatialGrid(n, n / 16.0)
+    rng = np.random.default_rng(data_seed)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = _chirp_spectrum(values, grid, lam, k0, m)
+    ref = dense_spectrum(values, grid, lam * grid.dxi * (k0 + np.arange(m)))
+    assert resampling_error(got, ref, values, grid) <= 1e-12, (n, lam, k0, m)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("lam", [1.0, -1.0, 1.0 / 16.0, -1.0 / 16.0, 16.0, -16.0,
+                                 np.sqrt(2.0), -2.7])
+def test_chirp_spectrum_matches_dense_sum(n, lam):
+    # frequencies stay inside the Nyquist band, as every dilate_signal request does
+    top = min(n // 2 - 1, int((n // 2 - 1) / abs(lam)))
+    check_run(n, lam, 0, top + 1, 1)           # whole k >= 0 run
+    check_run(n, lam, -top, top, 2)            # whole k < 0 run
+    check_run(n, lam, top // 3, max(1, top // 2), 3)   # interior runs of either sign
+    check_run(n, lam, -top // 2 - 1, max(1, top // 3), 4)
+    check_run(n, lam, top, 1, 5)               # runs of length 1
+    check_run(n, lam, -top, 1, 6)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(
+    log_n=st.integers(6, 9),
+    log_lam=st.floats(-4.0, 4.0),
+    negative=st.booleans(),
+    start=st.floats(0.0, 1.0),
+    length=st.floats(0.0, 1.0),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_chirp_spectrum_property(log_n, log_lam, negative, start, length, data_seed):
+    n = 2**log_n
+    lam = (-1.0 if negative else 1.0) * 2.0**log_lam
+    top = max(1, int((n // 2 - 1) / abs(lam)))  # bins k with |lam*k| < n/2
+    lo = min(top, -top + int(start * (2 * top + 1)))
+    room = top - lo + 1 if lo >= 0 else -lo     # a run keeps the sign of lo
+    m = 1 + int(length * (room - 1))
+    check_run(n, lam, lo, m, data_seed)
+
+
+@pytest.mark.parametrize("lam", [1, -1, 2, -3])
+def test_chirp_spectrum_integer_factor_hits_fft_bins(lam):
+    # lam*k is a grid bin, so the resampled values are FFT outputs; the whole
+    # turns of lam leave no rounding in the chirp phases, which keeps the
+    # agreement at round-off even on a long grid
+    n = 4096
+    grid = fp.SpatialGrid(n, 128.0)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    F = fp.forward_transform(fp.SampledSignal(grid, values)).values
+    top = (n // 2 - 1) // abs(lam)
+    for k0, m in ((0, top + 1), (-top, top)):
+        got = _chirp_spectrum(values, grid, float(lam), k0, m)
+        ref = F[(lam * (k0 + np.arange(m))) % n]
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lam", [np.sqrt(2.0), -1.0 / np.sqrt(3.0), 2.0])
+def test_dilate_signal_matches_dense_resampling(lam):
+    # both sign runs of kept bins go through the resampler
+    grid = fp.SpatialGrid(1024, 64.0)
+    f = band_packet(grid, fp.BandSpec(4.0), width=0.25, carrier=1.5)
+    out = fp.dilate_signal(f, lam)
+    F = fp.forward_transform(f).values
+    occupied = np.abs(F) > 1e-13 * np.abs(F).max()
+    radii = np.abs(grid.xi[occupied])
+    keep = ((np.abs(grid.xi) >= radii.min() / abs(lam) / (1.0 + 1e-12))
+            & (np.abs(grid.xi) <= radii.max() / abs(lam) * (1.0 + 1e-12)))
+    assert np.any(keep & (grid.xi > 0)) and np.any(keep & (grid.xi < 0))
+    spectrum = np.zeros(grid.n, dtype=complex)
+    spectrum[keep] = dense_spectrum(f.values, grid, lam * grid.xi[keep])
+    ref = fp.inverse_transform(fp.Spectrum(grid, spectrum))
+    assert relative_l2(grid, out.values, ref.values, ref.norm()) <= 1e-12
+
+
+def test_dilate_signal_memory_stays_linear():
+    # a dense 512-row phase block alone would take 134 MB at this size
+    grid = fp.SpatialGrid(16384, 512.0)
+    f = band_packet(grid, fp.BandSpec(8.0))
+    tracemalloc.start()
+    try:
+        fp.dilate_signal(f, np.sqrt(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak

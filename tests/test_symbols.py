@@ -6,7 +6,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fracprop as fp
-from fracprop.errors import DomainError, InvalidInputError, SymbolRangeError
+from fracprop.errors import (
+    DomainError,
+    InvalidInputError,
+    SymbolRangeError,
+    UnwrapResolutionError,
+)
 
 E = np.e
 
@@ -220,3 +225,21 @@ def test_tabulated_constructor_validation():
         fp.Tabulated(r, np.full(64, 1.1 + 0j))  # modulus off by 0.1
     with pytest.raises(InvalidInputError):
         fp.Tabulated(-r[::-1], np.ones(64, dtype=complex))  # negative radii
+
+
+def test_coarse_tabulation_refuses_unresolved_radii():
+    # 64 nodes of exp(50i*r^2) on [e^-3, e^3]: the phase step passes pi near
+    # r = 0.6, and beyond it the spline of the lifted phase errs by up to 2
+    tab = fp.tabulate(fp.ClosedForm(2.0, 50.0), np.exp(-3.0), np.exp(3.0), 64)
+    resolved = log_grid(np.exp(-3.0), 0.4, 257)
+    err = np.max(np.abs(fp.evaluate(tab, resolved) - np.exp(50j * resolved**2)))
+    assert err <= 0.05
+    with pytest.raises(UnwrapResolutionError):
+        fp.evaluate(tab, 1.0)
+    with pytest.raises(UnwrapResolutionError):
+        fp.band_sup_distance(tab, fp.ClosedForm(2.0, 50.0), fp.BandSpec(2.0))
+    with pytest.raises(UnwrapResolutionError):
+        fp.identify(tab, fp.SemistablePair(np.sqrt(2.0), np.sqrt(3.0)))
+    # the same profile sampled finely enough is resolved everywhere
+    fine = fp.tabulate(fp.ClosedForm(2.0, 50.0), np.exp(-3.0), np.exp(3.0), 200_000)
+    assert fp.evaluate(fine, np.exp(3.0)) == pytest.approx(np.exp(50j * np.exp(6.0)), abs=1e-6)
