@@ -242,23 +242,38 @@ def save_signal_csv(path, f):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_csv_table(path, header, kind):
+    """Rows of a three-column numeric CSV file under a fixed header line.
+
+    Blank and whitespace-only lines are skipped and spaces around fields are
+    allowed; anything else that is not ``>= 8`` rows of exactly three numbers
+    (comment lines included) raises :class:`InvalidInputError`.  Shared by the
+    signal and the symbol file formats.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise InvalidInputError(f"bad {kind} header {first!r}, expected {header!r}")
+        rows = [line for line in fh if line.strip()]
+    # counted before parsing, so numpy never sees (and warns about) an empty body
+    if len(rows) < 8:
+        raise InvalidInputError(f"{kind} file must have >= 8 rows of {header}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"unparsable {kind} row: {exc}") from exc
+    if data.shape[1] != 3:
+        raise InvalidInputError(f"{kind} file must have >= 8 rows of {header}")
+    return data
+
+
 def load_signal_csv(path):
     """Read a signal CSV and reconstruct its grid.
 
     Rejects non-uniform spacing (1e-9 relative), unordered x, windows that are
     not symmetric about 0, and sample counts that are not a power of two.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,re,im":
-            raise InvalidInputError(f"bad signal header {header!r}, expected 'x,re,im'")
-        rows = [line.strip() for line in fh if line.strip()]
-    try:
-        data = np.array([[float(c) for c in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise InvalidInputError(f"unparsable signal row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 8:
-        raise InvalidInputError("signal file must have >= 8 rows of x,re,im")
+    data = _read_csv_table(path, "x,re,im", "signal")
     x = data[:, 0]
     dx = np.diff(x)
     if np.any(dx <= 0):

@@ -20,7 +20,7 @@ from .errors import (
     ModelMismatchError,
     UnwrapResolutionError,
 )
-from .symbols import Tabulated, _check_radii, _wrapped_steps
+from .symbols import Tabulated, _check_radii, _resolved_nodes, _wrapped_steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -52,7 +52,11 @@ def unwrap_phase(s, values, base_value=None, base_index=0, jump_slack=0.05):
     argument moved into ``(base_value - pi, base_value + pi]`` (principal value
     itself when ``base_value`` is None).  Rejects adjacent samples whose
     wrapped increment comes within ``jump_slack`` of pi, naming the offending
-    index: such data cannot be unwrapped reliably at this resolution.
+    index: such data cannot be unwrapped reliably at this resolution.  Also
+    rejects data whose true phase step grows past pi: the wrapped steps show
+    that only as a change of nearly 2*pi from one step to the next (see
+    ``symbols._resolved_nodes``), and the error names the sample where it
+    happens.
     """
     s = np.asarray(s, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -74,6 +78,13 @@ def unwrap_phase(s, values, base_value=None, base_index=0, jump_slack=0.05):
         raise UnwrapResolutionError(
             f"phase step of {wrapped[i]:+.4f} rad between samples {i} and {i + 1} "
             f"is too close to pi to resolve the branch"
+        )
+    lo, hi = _resolved_nodes(wrapped)
+    if lo > 0 or hi < wrapped.size:
+        raise UnwrapResolutionError(
+            f"phase steps pass pi at sample {lo if lo > 0 else hi}, where "
+            f"neighbouring wrapped steps differ by more than 3*pi/2; only samples "
+            f"{lo} to {hi} can be unwrapped"
         )
     phi = np.empty_like(raw)
     phi[0] = raw[0]

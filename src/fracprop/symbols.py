@@ -15,6 +15,7 @@ unimodular up to the rounding of ``exp``.
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SymbolRangeError, UnwrapResolutionError
+from .grids import _read_csv_table
 
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
@@ -71,39 +72,65 @@ class ClosedForm:
         return f"ClosedForm(alpha={self.alpha}, beta={self.beta})"
 
 
+def _log_radii(r):
+    """``log(r)``, after checking that ``r`` is a finite, positive, strictly
+    increasing and log-uniform (within 1e-9 relative) radius grid."""
+    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+        raise InvalidInputError("radii must be finite and positive")
+    if np.any(np.diff(r) <= 0):
+        raise InvalidInputError("radii must be strictly increasing")
+    s = np.log(r)
+    ds = np.diff(s)
+    step = ds.mean()
+    if np.max(np.abs(ds - step)) > 1e-9 * abs(step):
+        raise InvalidInputError("radius grid is not log-uniform within 1e-9 relative")
+    return s
+
+
 class Tabulated:
     """Radial profile on a strictly increasing, log-uniform radius grid."""
 
-    __slots__ = ("r", "values", "s", "phase", "_spline", "_resolved")
+    __slots__ = ("r", "values", "s", "phase", "_spline", "_nodes", "_resolved")
 
     def __init__(self, r, values):
         r = np.asarray(r, dtype=float)
         values = np.asarray(values, dtype=complex)
         if r.ndim != 1 or r.shape != values.shape or r.size < 8:
             raise InvalidInputError("need matching 1-d arrays with >= 8 samples")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            raise InvalidInputError("radii must be finite and positive")
-        if np.any(np.diff(r) <= 0):
-            raise InvalidInputError("radii must be strictly increasing")
-        s = np.log(r)
-        ds = np.diff(s)
-        step = ds.mean()
-        if np.max(np.abs(ds - step)) > 1e-9 * abs(step):
-            raise InvalidInputError("radius grid is not log-uniform within 1e-9 relative")
+        s = _log_radii(r)
         mod = np.abs(values)
         if not np.all(np.isfinite(mod)) or np.max(np.abs(mod - 1.0)) > 1e-12:
             raise InvalidInputError("profile values must have unit modulus within 1e-12")
         raw = np.angle(values)
         phase = np.unwrap(raw)
-        for arr in (r, values, s, phase):
+        spline = _not_a_knot_spline(s, phase)
+        for arr in (values, phase, spline):
+            arr.setflags(write=False)
+        self.values = values
+        self.phase = phase
+        self._spline = spline
+        self._set_grid(r, s, _resolved_nodes(_wrapped_steps(raw)))
+
+    def _set_grid(self, r, s, nodes):
+        for arr in (r, s):
             arr.setflags(write=False)
         self.r = r
-        self.values = values
         self.s = s
-        self.phase = phase
-        self._spline = _not_a_knot_spline(s, phase)
-        lo, hi = _resolved_nodes(_wrapped_steps(raw))
-        self._resolved = (float(r[lo]), float(r[hi]))
+        self._nodes = nodes
+        self._resolved = (float(r[nodes[0]]), float(r[nodes[1]]))
+
+    def _dilated(self, lam):
+        """This profile on the radii ``r / lam``.  Only the grid is new: a
+        shift in log-radius leaves the phase, its resolved nodes and the
+        spline's second derivatives in log-radius as they are."""
+        with np.errstate(over="ignore"):  # _log_radii refuses radii that overflow
+            r = self.r / lam
+        out = object.__new__(Tabulated)
+        out.values = self.values
+        out.phase = self.phase
+        out._spline = self._spline
+        out._set_grid(r, _log_radii(r), self._nodes)
+        return out
 
     @property
     def r_min(self):
@@ -143,19 +170,20 @@ def _not_a_knot_spline(s, y):
     lower = h[:-1].copy()
     diag = 2.0 * (h[:-1] + h[1:])
     upper = h[1:].copy()
-    rhs = d.copy()
     r0 = h[0] / h[1]
     diag[0] += h[0] * (1.0 + r0)
     upper[0] -= h[0] * r0
     r1 = h[-1] / h[-2]
     diag[-1] += h[-1] * (1.0 + r1)
     lower[-1] -= h[-1] * r1
-    # Thomas elimination
+    # Thomas elimination, on Python floats: the same IEEE double arithmetic
+    # as on numpy scalars, without the cost of indexing them one by one
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), d.tolist()
     for i in range(1, m):
         w = lower[i] / diag[i - 1]
         diag[i] -= w * upper[i - 1]
         rhs[i] -= w * rhs[i - 1]
-    sig_inner = np.empty(m)
+    sig_inner = [0.0] * m
     sig_inner[-1] = rhs[-1] / diag[-1]
     for i in range(m - 2, -1, -1):
         sig_inner[i] = (rhs[i] - upper[i] * sig_inner[i + 1]) / diag[i]
@@ -231,8 +259,10 @@ def dilate(spec, lam):
     """The rescaled symbol ``xi -> m(lam * xi)``.
 
     Exact for closed forms: (alpha, beta) -> (alpha, beta * lam**alpha).  For
-    tabulated profiles the radius grid divides by ``lam`` (a shift in
-    log-radius), which moves the evaluable range accordingly.
+    tabulated profiles the radius grid divides by ``lam``, which moves the
+    evaluable range accordingly.  That is an exact shift in log-radius, so the
+    result reuses the parent's unwrapped phase and spline; only the new radii
+    are computed and checked.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
@@ -242,7 +272,7 @@ def dilate(spec, lam):
     if isinstance(spec, Tabulated):
         if lam == 1.0:
             return spec
-        return Tabulated(spec.r / lam, spec.values)
+        return spec._dilated(lam)
     if isinstance(spec, SymbolProduct):
         return SymbolProduct([(dilate(sub, lam), p) for sub, p in spec.factors])
     raise InvalidInputError(f"not a multiplier spec: {spec!r}")
@@ -419,17 +449,7 @@ def save_symbol_csv(path, tab):
 def load_symbol_csv(path):
     """Load a tabulated profile; rejects non-log-uniform grids and off-circle
     values (|value| - 1 beyond 1e-9), renormalizing the rest onto the circle."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "r,re,im":
-            raise InvalidInputError(f"bad symbol header {header!r}, expected 'r,re,im'")
-        rows = [line.strip() for line in fh if line.strip()]
-    try:
-        data = np.array([[float(c) for c in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise InvalidInputError(f"unparsable symbol row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 8:
-        raise InvalidInputError("symbol file must have >= 8 rows of r,re,im")
+    data = _read_csv_table(path, "r,re,im", "symbol")
     vals = data[:, 1] + 1j * data[:, 2]
     mod = np.abs(vals)
     if np.max(np.abs(mod - 1.0)) > 1e-9:

@@ -73,11 +73,31 @@ def test_unwrap_base_branch_selection():
 def test_unwrap_roundtrip_hypothesis(steps):
     phase = np.concatenate([[0.3], 0.3 + np.cumsum(steps)])
     s = np.arange(phase.size, dtype=float)
+    if np.any(np.abs(np.diff(steps)) > 1.5 * np.pi):
+        # on the circle these steps look like a smooth phase whose step passes pi
+        with pytest.raises(UnwrapResolutionError):
+            fp.unwrap_phase(s, np.exp(1j * phase))
+        return
     trace = fp.unwrap_phase(s, np.exp(1j * phase))
     # reconstruction on the circle is exact; the lift agrees up to one global turn
     np.testing.assert_allclose(np.exp(1j * trace.phi), np.exp(1j * phase), atol=1e-9)
     offsets = (trace.phi - phase) / TWO_PI
     np.testing.assert_allclose(offsets, np.round(offsets[0]), atol=1e-6)
+
+
+def test_unwrap_refuses_true_step_passing_pi():
+    # 64 nodes of exp(50i*r^2) on [e^-3, e^3]: every wrapped step stays inside
+    # pi - jump_slack, but the true step passes pi at node 26 (r = 0.59) and a
+    # plain cumulative sum is wrong beyond it
+    s = log_s(-3.0, 3.0, 64)
+    values = np.exp(50j * np.exp(2.0 * s))
+    with pytest.raises(UnwrapResolutionError) as err:
+        fp.unwrap_phase(s, values)
+    assert "sample 26" in str(err.value)
+    # the resolved part alone unwraps to the true phase, pinned at its first sample
+    trace = fp.unwrap_phase(s[:27], values[:27])
+    np.testing.assert_allclose(trace.phi - trace.phi[0],
+                               50.0 * (np.exp(2.0 * s[:27]) - np.exp(2.0 * s[0])), atol=1e-10)
 
 
 # ------------------------------------------------------------- branch integers

@@ -90,6 +90,98 @@ def test_dilate_tabulated_shifts_range():
     )
 
 
+DILATIONS = [np.exp(1e-4), np.exp(-1e-4), 2.0, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("lam", DILATIONS)
+def test_dilate_tabulated_matches_rebuilt_profile(lam):
+    tab = fp.tabulate(fp.ClosedForm(1.5, 2.0), 0.25, 6.0, 512)
+    shifted = fp.dilate(tab, lam)
+    rebuilt = fp.Tabulated(tab.r / lam, tab.values)
+    np.testing.assert_array_equal(shifted.r, rebuilt.r)
+    assert shifted._resolved == rebuilt._resolved
+    lo, hi = shifted._resolved
+    r = log_grid(lo, hi, 4001)
+    np.testing.assert_allclose(fp.symbols.phase(shifted, r), fp.symbols.phase(rebuilt, r),
+                               rtol=0, atol=1e-12)
+
+
+def test_dilate_tabulated_composes():
+    tab = fp.tabulate(fp.ClosedForm(0.5, -3.0), 0.1, 10.0, 256)
+    twice = fp.dilate(fp.dilate(tab, 2.0), 1.0 / 3.0)
+    once = fp.dilate(tab, 2.0 / 3.0)
+    np.testing.assert_allclose(twice.r, once.r, rtol=1e-15)
+    r = log_grid(twice.r_min * 1.001, twice.r_max * 0.999, 999)
+    np.testing.assert_allclose(fp.symbols.phase(twice, r), fp.symbols.phase(once, r),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", DILATIONS)
+def test_dilate_tabulated_scales_resolved_stretch(lam):
+    # the coarse table of test_coarse_tabulation_refuses_unresolved_radii:
+    # its resolved stretch ends at node 26, well inside the table
+    tab = fp.tabulate(fp.ClosedForm(2.0, 50.0), np.exp(-3.0), np.exp(3.0), 64)
+    shifted = fp.dilate(tab, lam)
+    assert tab._resolved[1] < tab.r_max
+    assert shifted._resolved == pytest.approx((tab._resolved[0] / lam, tab._resolved[1] / lam),
+                                              rel=1e-15)
+    with pytest.raises(UnwrapResolutionError):
+        fp.evaluate(shifted, tab._resolved[1] / lam * 1.01)
+
+
+def test_dilate_tabulated_shares_the_spline(monkeypatch):
+    tab = fp.tabulate(fp.ClosedForm(2.0, 1.0), 0.5, 2.0, 128)
+
+    def no_rebuild(s, y):
+        raise AssertionError("dilation rebuilt the spline")
+
+    monkeypatch.setattr(fp.symbols, "_not_a_knot_spline", no_rebuild)
+    shifted = fp.dilate(tab, 2.0)
+    assert shifted._spline is tab._spline
+    assert shifted.phase is tab.phase
+    assert shifted.values is tab.values
+    assert not shifted._spline.flags.writeable
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dilate_tabulated_refuses_radii_beyond_float_range():
+    tab = fp.tabulate(fp.ClosedForm(1.0, 1.0), 1e-30, 1e30, 64)
+    with pytest.raises(InvalidInputError):
+        fp.dilate(tab, 1e-300)  # largest radii overflow to inf
+    with pytest.raises(InvalidInputError):
+        fp.dilate(tab, 1e300)  # smallest radii underflow to 0
+
+
+def _dense_not_a_knot(s, y):
+    """Second derivatives of the not-a-knot cubic spline through (s, y), from
+    the full n-by-n system solved densely."""
+    n = s.size
+    h = np.diff(s)
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    for i in range(1, n - 1):
+        a[i, i - 1:i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        b[i] = 6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
+    # third derivative continuous across the second and the next-to-last node
+    a[0, :3] = -h[1], h[0] + h[1], -h[0]
+    a[-1, -3:] = -h[-1], h[-1] + h[-2], -h[-2]
+    return np.linalg.solve(a, b)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 512])
+@pytest.mark.parametrize("spacing", ["log_uniform", "non_uniform"])
+def test_not_a_knot_spline_matches_dense_solve(n, spacing):
+    rng = np.random.default_rng(n)
+    if spacing == "log_uniform":
+        s = np.linspace(-2.0, 2.0, n)
+    else:
+        s = np.cumsum(rng.uniform(0.2, 1.0, n))
+    y = np.sin(3.0 * s) + rng.normal(scale=0.1, size=n)
+    got = fp.symbols._not_a_knot_spline(s, y)
+    want = _dense_not_a_knot(s, y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @seed(11)
 @settings(max_examples=40, deadline=None)
 @given(
