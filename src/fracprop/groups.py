@@ -11,10 +11,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .operators import apply
-from .symbols import ClosedForm, _power_phase_chord_sup, dilate
-
-_EPS = np.finfo(float).eps
-_SNAP_ULPS = 64
+from .symbols import ClosedForm, _snapped_chord_sup, dilate
 
 
 class GroupSpec:
@@ -78,11 +75,8 @@ def check_scaling(group, t, r_lo=None, r_hi=None):
         r_hi = float(np.exp(3.0))
     direct = member(group, t)
     rescaled = dilate(member(group, 1.0), t ** (1.0 / group.alpha))
-    dcoef = direct.beta - rescaled.beta
     scale = max(abs(direct.beta), abs(rescaled.beta), 1.0)
-    if abs(dcoef) <= _SNAP_ULPS * _EPS * scale:
-        dcoef = 0.0
-    return _power_phase_chord_sup(dcoef, group.alpha, r_lo, r_hi)
+    return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, r_lo, r_hi)
 
 
 class SlopeFit(NamedTuple):

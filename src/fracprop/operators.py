@@ -25,7 +25,7 @@ from .grids import (
     inverse_transform,
     random_band_signal,
 )
-from .symbols import _golden_max, _pair_mismatch, _sup_distance_with_argmax, evaluate
+from .symbols import _sup_distance_with_argmax, _zoom_max, evaluate
 
 
 def apply(spec, f, band):
@@ -160,8 +160,8 @@ def _target_radii(m1, m2, band, sup, r_star, limit=8):
 
     An oscillatory mismatch attains its sup at many radii with very different
     local slopes, and a narrow bump reads the mismatch best where it varies
-    slowest, so the near-sup local maxima are ranked by flatness and each
-    candidate is polished before use.
+    slowest, so the near-sup local maxima are ranked by flatness and the
+    candidates are polished together, one bracket zoom over all of them.
     """
     s = np.linspace(-np.log(band.R), np.log(band.R), 4096)
     r = np.exp(s)
@@ -180,14 +180,8 @@ def _target_radii(m1, m2, band, sup, r_star, limit=8):
             + d[np.clip(idx - 1, 0, d.size - 1)]
         )
         idx = idx[np.argsort(curvature)][:limit]
-    objective = _pair_mismatch(m1, m2)
-    centers = [r_star]
-    for i in idx:
-        lo = s[max(i - 1, 0)]
-        hi = s[min(i + 1, s.size - 1)]
-        s_best, _ = _golden_max(objective, lo, hi)
-        centers.append(float(np.exp(s_best)))
-    return np.unique(centers)
+    s_best, _ = _zoom_max(m1, m2, s[np.maximum(idx - 1, 0)], s[np.minimum(idx + 1, s.size - 1)])
+    return np.unique(np.append(np.exp(s_best), r_star))
 
 
 def probe_operator_distance(m1, m2, band, grid, trials, seed):

@@ -14,19 +14,11 @@ from .symbols import (
     ClosedForm,
     SymbolProduct,
     Tabulated,
-    _power_phase_chord_sup,
+    _snapped_chord_sup,
     combine,
     dilate,
     evaluate,
 )
-
-_EPS = np.finfo(float).eps
-# A stored double can satisfy lam**alpha == target only to a few ulps; pairs
-# within this distance are indistinguishable from exact and treated as such,
-# otherwise the residual would be dominated by representation error rather
-# than by any property of the symbol.  A 1% perturbation sits ~13 orders of
-# magnitude above the snap.
-_SNAP_ULPS = 64
 
 
 class SemistablePair:
@@ -95,20 +87,12 @@ def default_radius_grid(num=4096):
     return np.exp(np.linspace(-3.0, 3.0, int(num)))
 
 
-def _scaling_coefficient(lam, alpha, target, exact):
-    """lam**alpha - target, snapped to zero when within representation error."""
-    if exact:
-        return 0.0
-    c = lam**alpha - target
-    if abs(c) <= _SNAP_ULPS * _EPS * target:
-        return 0.0
-    return c
-
-
 def _closed_form_residual(spec, lam, target, r_lo, r_hi, exact):
     # m(lam*r) / m(r)**target = exp(i*beta*(lam**alpha - target)*r**alpha)
-    c = _scaling_coefficient(lam, spec.alpha, target, exact)
-    return _power_phase_chord_sup(spec.beta * c, spec.alpha, r_lo, r_hi)
+    if exact:
+        return 0.0
+    return _snapped_chord_sup(lam**spec.alpha - target, target, spec.alpha, r_lo, r_hi,
+                              gain=spec.beta)
 
 
 def _sampled_residual(spec, lam, power, r_grid):
@@ -180,10 +164,8 @@ def order_doubling_residual(spec, r_lo=None, r_hi=None):
         r_lo, r_hi = float(grid[0]), float(grid[-1])
     squared = combine([(spec, 2)])
     rescaled = dilate(spec, 2.0 ** (1.0 / spec.alpha))
-    dcoef = squared.beta - rescaled.beta
-    if abs(dcoef) <= _SNAP_ULPS * _EPS * max(abs(squared.beta), 1.0):
-        dcoef = 0.0
-    return _power_phase_chord_sup(dcoef, spec.alpha, r_lo, r_hi)
+    return _snapped_chord_sup(squared.beta - rescaled.beta, max(abs(squared.beta), 1.0),
+                              spec.alpha, r_lo, r_hi)
 
 
 def check_order(spec, tol=1e-12):

@@ -118,3 +118,19 @@ def packet_grid():
 @pytest.fixture(scope="session")
 def wide_band():
     return fp.BandSpec(8.0)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """A list that gains one entry per symbol evaluation made by the
+    ``symbols`` and ``operators`` modules."""
+    calls = []
+    evaluate = fp.symbols.evaluate
+
+    def counted(spec, xi):
+        calls.append(1)
+        return evaluate(spec, xi)
+
+    monkeypatch.setattr(fp.symbols, "evaluate", counted)
+    monkeypatch.setattr(fp.operators, "evaluate", counted)
+    return calls

@@ -156,6 +156,22 @@ def test_probe_distance_brackets_sup():
     assert est >= sup - 1e-3
 
 
+def test_target_radii_polish_cost_is_independent_of_candidates(evaluate_calls):
+    # all candidate brackets are zoomed together, so the evaluate calls do not
+    # grow with the number of near-sup local maxima
+    band = fp.BandSpec(2.0)
+    counts = {}
+    for alpha in (1.0, 3.0, 4.0):
+        # |m1 - m2| = |exp(i*pi*r^alpha) - 1|: 1, 4 and 8 near-sup maxima
+        m1, m2 = fp.ClosedForm(alpha, 1.0 + np.pi), fp.ClosedForm(alpha, 1.0)
+        sup, r_star = fp.symbols._sup_distance_with_argmax(m1, m2, band, 4096)
+        evaluate_calls.clear()
+        centers = fp.operators._target_radii(m1, m2, band, sup, r_star)
+        counts[centers.size] = len(evaluate_calls)
+    assert sorted(counts) == [1, 4, 8]
+    assert len(set(counts.values())) == 1
+
+
 def test_probe_never_exceeds_sup_random_pairs():
     grid = fp.SpatialGrid(1024, 64.0)
     band = fp.BandSpec(3.0)

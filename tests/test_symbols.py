@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import fracprop as fp
@@ -268,6 +268,51 @@ def test_band_sup_distance_needs_enough_samples():
     band = fp.BandSpec(2.0)
     with pytest.raises(InvalidInputError):
         fp.band_sup_distance(fp.ClosedForm(2, 1), fp.ClosedForm(2, 2), band, samples=100)
+
+
+def test_sup_distance_interior_max_oracle():
+    # |exp(ir) - exp(ir^2/2)| = 2|sin((r - r^2/2)/2)|: on [1/2, 2] the phase
+    # difference peaks at 1/2 at r = 1, inside the band
+    m1, m2 = fp.ClosedForm(1.0, 1.0), fp.ClosedForm(2.0, 0.5)
+    band = fp.BandSpec(2.0)
+    value, r_best = fp.symbols._sup_distance_with_argmax(m1, m2, band, 4096)
+    assert abs(value - 2.0 * np.sin(0.25)) <= 1e-15
+    assert fp.band_sup_distance(m1, m2, band) == value
+    # the mismatch falls off as only ~0.24*(log r)^2 about its peak, so the
+    # ~1e-16 rounding of its values hides the argmax within ~2e-8
+    assert abs(r_best - 1.0) <= 1e-7
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-1.5, -0.5, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(1.1, 8.0),
+)
+def test_scan_and_zoom_matches_exact_chord_sup(alpha, beta1, beta2, R):
+    # the scan resolves the phase difference (beta1 - beta2)*r^alpha: it moves
+    # by less than pi/2 between neighbouring samples
+    coef = beta1 - beta2
+    ds = 2.0 * np.log(R) / 4095
+    assume(abs(coef * alpha) * R ** abs(alpha) * ds < np.pi / 2.0)
+    m1, m2 = fp.ClosedForm(alpha, beta1), fp.ClosedForm(alpha, beta2)
+    value, _ = fp.symbols._sup_distance_with_argmax(m1, m2, fp.BandSpec(R), 4096)
+    exact = fp.symbols._power_phase_chord_sup(coef, alpha, 1.0 / R, R)
+    assert abs(value - exact) <= 1e-12
+    assert fp.band_sup_distance(m1, m2, fp.BandSpec(R)) == exact
+
+
+def test_band_sup_distance_evaluate_calls(evaluate_calls):
+    # one scan and a vector zoom: a fixed handful of evaluate calls, not one
+    # call per polishing step
+    r = log_grid(np.exp(-3.0), np.exp(3.0), 4096)
+    tab = fp.Tabulated(r, np.exp(1.3j * r**0.8))
+    dilated = fp.dilate(tab, 1.001)
+    evaluate_calls.clear()
+    fp.band_sup_distance(dilated, tab, fp.BandSpec(2.0))
+    assert 0 < len(evaluate_calls) <= 16
 
 
 def test_continuity_modulus_closed_form():
