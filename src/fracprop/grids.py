@@ -69,13 +69,24 @@ class SpatialGrid:
 
 def _as_complex_values(values, n):
     vals = np.asarray(values, dtype=complex)
+    # an owned read-only array cannot change under the wrapper; copy the rest
+    if vals.flags.writeable or vals.base is not None:
+        vals = vals.copy()
     if vals.shape != (n,):
         raise InvalidInputError(f"expected {n} samples, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
+    # one pass: a complex value is finite only if both of its parts are
+    if not np.isfinite(vals).all():
         raise InvalidInputError("samples contain non-finite values")
-    vals = vals.copy()
     vals.setflags(write=False)
     return vals
+
+
+def _fresh(cls, grid, vals):
+    """``cls(grid, vals)`` for a complex array the library has just allocated:
+    frozen in place first, it is wrapped without a copy, and the shape and
+    finiteness checks still run (an overflowing transform still raises)."""
+    vals.setflags(write=False)
+    return cls(grid, vals)
 
 
 class SampledSignal:
@@ -156,7 +167,7 @@ def forward_transform(f):
     out = np.fft.fft(f.values)
     out *= g._parity
     out *= g.dx / _SQRT_TWO_PI
-    return Spectrum(g, out)
+    return _fresh(Spectrum, g, out)
 
 
 def inverse_transform(F):
@@ -164,7 +175,7 @@ def inverse_transform(F):
     g = F.grid
     out = np.fft.ifft(F.values * g._parity)
     out *= g.n * g.dxi / _SQRT_TWO_PI
-    return SampledSignal(g, out)
+    return _fresh(SampledSignal, g, out)
 
 
 def inner_product(f, g):
@@ -189,7 +200,7 @@ def band_project(F, band):
     band.validate_for(F.grid)
     keep = band_mask(F.grid, band)
     out = np.where(keep, F.values, 0.0)
-    return Spectrum(F.grid, out)
+    return _fresh(Spectrum, F.grid, out)
 
 
 def probe_rng(seed, stream=0):
@@ -213,7 +224,7 @@ def random_band_signal(band, grid, seed, stream=0):
     nrm = np.linalg.norm(vals) * np.sqrt(grid.dxi)
     if nrm == 0.0:
         raise BandConfigError("band contains no frequency bins")
-    return Spectrum(grid, vals / nrm)
+    return _fresh(Spectrum, grid, vals / nrm)
 
 
 def gaussian_packet(grid, center=0.0, spectral_width=1.0, carrier=0.0):

@@ -19,25 +19,32 @@ from .grids import (
     SampledSignal,
     Spectrum,
     _SQRT_TWO_PI,
+    _fresh,
     band_mask,
     band_project,
     forward_transform,
     inverse_transform,
     random_band_signal,
 )
-from .symbols import _sup_distance_with_argmax, _zoom_max, evaluate
+from .symbols import _log_scan, _polished_max, _zoom_max, evaluate
 
 
 def apply(spec, f, band):
     """Evolve a signal: project onto the band, multiply each surviving bin by
     the symbol value, transform back.  Unitary on the band for unimodular
     symbols (output norm equals the norm of the band-projected input)."""
-    band.validate_for(f.grid)
-    F = forward_transform(f)
-    keep = band_mask(f.grid, band)
-    out = np.zeros(f.grid.n, dtype=complex)
-    out[keep] = evaluate(spec, f.grid.xi[keep]) * F.values[keep]
-    return inverse_transform(Spectrum(f.grid, out))
+    return _apply_spectrum(spec, forward_transform(f), band)
+
+
+def _apply_spectrum(spec, F, band):
+    """:func:`apply` on the spectrum ``F`` of the signal, so callers that
+    already hold it share one forward transform."""
+    g = F.grid
+    band.validate_for(g)
+    keep = band_mask(g, band)
+    out = np.zeros(g.n, dtype=complex)
+    out[keep] = evaluate(spec, g.xi[keep]) * F.values[keep]
+    return inverse_transform(_fresh(Spectrum, g, out))
 
 
 def translate(f, a):
@@ -48,7 +55,7 @@ def translate(f, a):
     """
     F = forward_transform(f)
     shifted = F.values * np.exp(-1j * float(a) * f.grid.xi)
-    return inverse_transform(Spectrum(f.grid, shifted))
+    return inverse_transform(_fresh(Spectrum, f.grid, shifted))
 
 
 def _chirp_spectrum(values, grid, lam, k0, m):
@@ -100,7 +107,7 @@ def dilate_signal(f, lam):
     # support; a relative floor keeps the support reading stable
     occupied = mags > 1e-13 * mags.max(initial=0.0)
     if not np.any(occupied):
-        return SampledSignal(g, np.zeros(g.n, dtype=complex))
+        return _fresh(SampledSignal, g, np.zeros(g.n, dtype=complex))
     radii = np.abs(g.xi[occupied])
     r_min, r_max = float(radii.min()), float(radii.max())
     a = abs(lam)
@@ -125,7 +132,7 @@ def dilate_signal(f, lam):
     breaks = np.flatnonzero(np.diff(bins) != 1) + 1
     for run, k in zip(np.split(idx, breaks), np.split(bins, breaks)):
         out[run] = _chirp_spectrum(f.values, g, lam, int(k[0]), k.size)
-    return inverse_transform(Spectrum(g, out))
+    return inverse_transform(_fresh(Spectrum, g, out))
 
 
 def conjugated_apply(spec, lam, f, band):
@@ -150,22 +157,22 @@ def conjugated_apply(spec, lam, f, band):
 
 def _probe_ratio(m1, m2, probe_spectrum, band):
     sig = inverse_transform(probe_spectrum)
-    d = apply(m1, sig, band).values - apply(m2, sig, band).values
+    F = forward_transform(sig)
+    d = _apply_spectrum(m1, F, band).values - _apply_spectrum(m2, F, band).values
     num = np.linalg.norm(d) * np.sqrt(sig.grid.dx)
     return float(num / sig.norm())
 
 
-def _target_radii(m1, m2, band, sup, r_star, limit=8):
+def _target_radii(m1, m2, scan, sup, r_star, limit=8):
     """Radii worth concentrating a probe on.
 
     An oscillatory mismatch attains its sup at many radii with very different
     local slopes, and a narrow bump reads the mismatch best where it varies
-    slowest, so the near-sup local maxima are ranked by flatness and the
-    candidates are polished together, one bracket zoom over all of them.
+    slowest, so the near-sup local maxima of the band's ``scan`` (from
+    ``symbols._log_scan``) are ranked by flatness and the candidates are
+    polished together, one bracket zoom over all of them.
     """
-    s = np.linspace(-np.log(band.R), np.log(band.R), 4096)
-    r = np.exp(s)
-    d = np.abs(evaluate(m1, r) - evaluate(m2, r))
+    s, _, d = scan
     peaked = np.zeros(d.size, dtype=bool)
     peaked[1:-1] = (d[1:-1] >= d[:-2]) & (d[1:-1] >= d[2:])
     peaked[0] = d[0] >= d[1]
@@ -196,16 +203,17 @@ def probe_operator_distance(m1, m2, band, grid, trials, seed):
     if trials < 1:
         raise DomainError("need at least one probe trial")
     band.validate_for(grid)
-    sup, r_star = _sup_distance_with_argmax(m1, m2, band, 4096)
+    scan = _log_scan(m1, m2, band, 4096)
+    sup, r_star = _polished_max(m1, m2, *scan)
 
     probes = [random_band_signal(band, grid, seed, stream=i) for i in range(trials)]
     sigma = 0.75 * grid.dxi
     keep = band_mask(grid, band)
-    for center in _target_radii(m1, m2, band, sup, r_star):
+    for center in _target_radii(m1, m2, scan, sup, r_star):
         bump = np.exp(-0.5 * ((grid.xi - center) / sigma) ** 2)
         bump = np.where(keep, bump, 0.0)
         nrm = np.linalg.norm(bump) * np.sqrt(grid.dxi)
         if nrm > 0:
-            probes.append(Spectrum(grid, bump.astype(complex) / nrm))
+            probes.append(_fresh(Spectrum, grid, bump.astype(complex) / nrm))
 
     return max(_probe_ratio(m1, m2, p, band) for p in probes)

@@ -344,16 +344,25 @@ def _zoom_max(m1, m2, lo, hi, tol=1e-10):
             return s[rows, i], d[rows, i]
 
 
-def _sup_distance_with_argmax(m1, m2, band, samples):
-    s_lo, s_hi = -np.log(band.R), np.log(band.R)
-    s = np.linspace(s_lo, s_hi, samples)
+def _log_scan(m1, m2, band, samples):
+    """``(s, r, d)``: ``d = |m1(r) - m2(r)|`` on ``samples`` radii ``r = e**s``
+    evenly spaced in log-radius across the band."""
+    s = np.linspace(-np.log(band.R), np.log(band.R), samples)
     r = np.exp(s)
-    d = np.abs(evaluate(m1, r) - evaluate(m2, r))
+    return s, r, np.abs(evaluate(m1, r) - evaluate(m2, r))
+
+
+def _polished_max(m1, m2, s, r, d):
+    """Value and radius of the maximum of a :func:`_log_scan`, zoomed in on."""
     i = int(np.argmax(d))
-    s_best, polished = _zoom_max(m1, m2, s[[max(i - 1, 0)]], s[[min(i + 1, samples - 1)]])
+    s_best, polished = _zoom_max(m1, m2, s[[max(i - 1, 0)]], s[[min(i + 1, s.size - 1)]])
     if polished[0] >= d[i]:
         return float(polished[0]), float(np.exp(s_best[0]))
     return float(d[i]), float(r[i])
+
+
+def _sup_distance_with_argmax(m1, m2, band, samples):
+    return _polished_max(m1, m2, *_log_scan(m1, m2, band, samples))
 
 
 def band_sup_distance(m1, m2, band, samples=4096):

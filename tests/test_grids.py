@@ -227,6 +227,48 @@ def test_values_are_immutable():
         g.xi[0] = 1.0
 
 
+def test_overflowing_transform_rejected():
+    # the library's own results skip the copy, not the finiteness check
+    g = fp.SpatialGrid(64, 8.0)
+    f = fp.SampledSignal(g, np.full(64, 1e308))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(InvalidInputError):
+            fp.forward_transform(f)
+
+
+def test_constructors_copy_caller_arrays():
+    g = fp.SpatialGrid(64, 8.0)
+    for cls in (fp.SampledSignal, fp.Spectrum):
+        data = np.ones(64, dtype=complex)
+        wrapped = cls(g, data)
+        data[0] = 5.0
+        assert wrapped.values[0] == 1.0
+        assert data.flags.writeable
+
+
+def test_constructors_share_only_frozen_owned_arrays():
+    # an owned read-only array cannot change, so it is wrapped as it is; a
+    # read-only view of a writable array can, so it is copied
+    g = fp.SpatialGrid(64, 8.0)
+    F = fp.forward_transform(fp.gaussian_packet(g, spectral_width=1.0))
+    assert fp.Spectrum(g, F.values).values is F.values
+    base = np.ones(64, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    wrapped = fp.SampledSignal(g, view)
+    base[0] = 5.0
+    assert wrapped.values[0] == 1.0
+
+
+def test_transform_results_are_read_only():
+    g = fp.SpatialGrid(64, 8.0)
+    f = fp.gaussian_packet(g, spectral_width=1.0)
+    F = fp.forward_transform(f)
+    for result in (F, fp.inverse_transform(F)):
+        with pytest.raises(ValueError):
+            result.values[0] = 2.0
+
+
 def test_signal_csv_roundtrip(tmp_path):
     g = fp.SpatialGrid(64, 8.0)
     f = fp.gaussian_packet(g, spectral_width=0.8, carrier=1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fracprop as fp
-from fracprop.errors import DomainError, InsufficientDataError
+from fracprop.errors import DomainError, InsufficientDataError, InvalidInputError
 from conftest import band_packet, identify_halfwidth
 
 
@@ -43,6 +43,14 @@ def test_group_law_random_times(packet_grid, wide_band):
         for _ in range(50)
     )
     assert worst <= 1e-12
+
+
+def test_group_law_rejects_zero_signal():
+    # a zero signal has no relative residual: a typed error, not nan
+    grid = fp.SpatialGrid(64, 8.0)
+    zero = fp.SampledSignal(grid, np.zeros(64))
+    with pytest.raises(InvalidInputError):
+        fp.check_group_law(fp.GroupSpec(2.0, 1.0), 0.5, 0.25, zero, fp.BandSpec(2.0))
 
 
 def test_member_product_matches_sum(packet_grid, wide_band):

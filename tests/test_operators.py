@@ -164,12 +164,63 @@ def test_target_radii_polish_cost_is_independent_of_candidates(evaluate_calls):
     for alpha in (1.0, 3.0, 4.0):
         # |m1 - m2| = |exp(i*pi*r^alpha) - 1|: 1, 4 and 8 near-sup maxima
         m1, m2 = fp.ClosedForm(alpha, 1.0 + np.pi), fp.ClosedForm(alpha, 1.0)
-        sup, r_star = fp.symbols._sup_distance_with_argmax(m1, m2, band, 4096)
+        scan = fp.symbols._log_scan(m1, m2, band, 4096)
+        sup, r_star = fp.symbols._polished_max(m1, m2, *scan)
         evaluate_calls.clear()
-        centers = fp.operators._target_radii(m1, m2, band, sup, r_star)
+        centers = fp.operators._target_radii(m1, m2, scan, sup, r_star)
         counts[centers.size] = len(evaluate_calls)
     assert sorted(counts) == [1, 4, 8]
     assert len(set(counts.values())) == 1
+
+
+def test_probe_distance_scans_the_band_once(evaluate_calls):
+    # the sup and the probe targets share one scan of the 4096-point log grid,
+    # so one probe_operator_distance is exactly: that scan and its zoom, the
+    # targets' zoom, and two evaluations per probe; a second scan for the
+    # targets would add 2 calls
+    grid, band = fp.SpatialGrid(1024, 160.0), fp.BandSpec(2.0)
+    m1, m2 = fp.ClosedForm(3.0, 1.0 + np.pi), fp.ClosedForm(3.0, 1.0)
+    trials = 2
+    fp.symbols._sup_distance_with_argmax(m1, m2, band, 4096)
+    sup_calls = len(evaluate_calls)
+    scan = fp.symbols._log_scan(m1, m2, band, 4096)
+    sup, r_star = fp.symbols._polished_max(m1, m2, *scan)
+    evaluate_calls.clear()
+    centers = fp.operators._target_radii(m1, m2, scan, sup, r_star)
+    target_calls = len(evaluate_calls)
+    evaluate_calls.clear()
+    fp.probe_operator_distance(m1, m2, band, grid, trials=trials, seed=3)
+    assert len(evaluate_calls) == sup_calls + target_calls + 2 * (trials + centers.size)
+
+
+@seed(5)
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.sampled_from([-1.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    beta=st.floats(-5.0, 5.0),
+    probe_seed=st.integers(0, 2**31 - 1),
+)
+def test_apply_spectrum_matches_apply(alpha, beta, probe_seed):
+    grid, band = fp.SpatialGrid(512, 32.0), fp.BandSpec(4.0)
+    spec = fp.ClosedForm(alpha, beta)
+    f = fp.inverse_transform(fp.random_band_signal(band, grid, probe_seed))
+    shared = fp.operators._apply_spectrum(spec, fp.forward_transform(f), band)
+    np.testing.assert_array_equal(shared.values, fp.apply(spec, f, band).values)
+
+
+def test_verify_shares_forward_transforms(monkeypatch):
+    # one forward transform per probe: 225 for a full (2, 1) run, against 585
+    # when Plancherel, the round trip, apply and the reference each made their own
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    fp.run_verification(2.0, 1.0, seed=7)
+    assert len(calls) <= 240
 
 
 def test_probe_never_exceeds_sup_random_pairs():
