@@ -115,6 +115,8 @@ def cmd_evolve(args):
         return _fail(str(exc), EXIT_BAND)
     except SymbolRangeError as exc:
         return _fail(str(exc), EXIT_BAND)
+    except DomainError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     _write_atomic(args.output, lambda tmp: save_signal_csv(tmp, evolved))
     report = {
         "schema": 1,

@@ -215,16 +215,23 @@ def probe_rng(seed, stream=0):
 
 
 def random_band_signal(band, grid, seed, stream=0):
-    """Unit-norm random spectrum supported inside the band; deterministic in (seed, stream)."""
+    """Unit-norm random spectrum supported inside the band; deterministic in (seed, stream).
+
+    Only the ``k`` band bins are drawn: the first ``k`` standard normals of
+    ``probe_rng(seed, stream)`` are the real parts and the next ``k`` the
+    imaginary parts, in FFT bin order; every other bin is exactly 0.
+    """
     band.validate_for(grid)
     keep = band_mask(grid, band)
-    rng = probe_rng(seed, stream)
-    z = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    vals = np.where(keep, z, 0.0)
-    nrm = np.linalg.norm(vals) * np.sqrt(grid.dxi)
-    if nrm == 0.0:
+    k = np.count_nonzero(keep)
+    if k == 0:
         raise BandConfigError("band contains no frequency bins")
-    return _fresh(Spectrum, grid, vals / nrm)
+    rng = probe_rng(seed, stream)
+    z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    z /= np.linalg.norm(z) * np.sqrt(grid.dxi)
+    vals = np.zeros(grid.n, dtype=complex)
+    vals[keep] = z
+    return _fresh(Spectrum, grid, vals)
 
 
 def gaussian_packet(grid, center=0.0, spectral_width=1.0, carrier=0.0):

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .grids import forward_transform
 from .operators import _apply_spectrum, apply
-from .symbols import ClosedForm, _snapped_chord_sup, dilate
+from .symbols import ClosedForm, _float_power, _snapped_chord_sup, dilate
 
 
 class GroupSpec:
@@ -80,7 +80,8 @@ def check_scaling(group, t, r_lo=None, r_hi=None):
     if r_hi is None:
         r_hi = float(np.exp(3.0))
     direct = member(group, t)
-    rescaled = dilate(member(group, 1.0), t ** (1.0 / group.alpha))
+    rescaled = dilate(member(group, 1.0),
+                      _float_power(t, 1.0 / group.alpha, "rescaling factor t**(1/alpha)"))
     scale = max(abs(direct.beta), abs(rescaled.beta), 1.0)
     return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, r_lo, r_hi)
 

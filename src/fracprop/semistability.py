@@ -14,6 +14,7 @@ from .symbols import (
     ClosedForm,
     SymbolProduct,
     Tabulated,
+    _float_power,
     _snapped_chord_sup,
     combine,
     dilate,
@@ -46,7 +47,11 @@ def canonical_pair(alpha):
     alpha = float(alpha)
     if alpha == 0.0 or not np.isfinite(alpha):
         raise DomainError("no canonical pair for exponent 0 (identity: any pair works)")
-    return SemistablePair(2.0 ** (1.0 / alpha), 3.0 ** (1.0 / alpha), _alpha=alpha)
+    return SemistablePair(
+        _float_power(2.0, 1.0 / alpha, "canonical pair constant 2**(1/alpha)"),
+        _float_power(3.0, 1.0 / alpha, "canonical pair constant 3**(1/alpha)"),
+        _alpha=alpha,
+    )
 
 
 class SemistabilityReport:
@@ -91,7 +96,8 @@ def _closed_form_residual(spec, lam, target, r_lo, r_hi, exact):
     # m(lam*r) / m(r)**target = exp(i*beta*(lam**alpha - target)*r**alpha)
     if exact:
         return 0.0
-    return _snapped_chord_sup(lam**spec.alpha - target, target, spec.alpha, r_lo, r_hi,
+    power = _float_power(lam, spec.alpha, "scaling power lam**alpha")
+    return _snapped_chord_sup(power - target, target, spec.alpha, r_lo, r_hi,
                               gain=spec.beta)
 
 
@@ -163,7 +169,7 @@ def order_doubling_residual(spec, r_lo=None, r_hi=None):
         grid = default_radius_grid()
         r_lo, r_hi = float(grid[0]), float(grid[-1])
     squared = combine([(spec, 2)])
-    rescaled = dilate(spec, 2.0 ** (1.0 / spec.alpha))
+    rescaled = dilate(spec, _float_power(2.0, 1.0 / spec.alpha, "order 2**(1/alpha)"))
     return _snapped_chord_sup(squared.beta - rescaled.beta, max(abs(squared.beta), 1.0),
                               spec.alpha, r_lo, r_hi)
 

@@ -238,7 +238,7 @@ def phase(spec, xi):
     if isinstance(spec, ClosedForm):
         if spec.alpha < 0 and np.any(radius == 0.0):
             raise DomainError("symbol with negative exponent has no value at xi = 0")
-        out = spec.beta * radius**spec.alpha
+        out = _closed_form_phase(spec, radius)
     elif isinstance(spec, Tabulated):
         out = _tabulated_phase(spec, radius)
     elif isinstance(spec, SymbolProduct):
@@ -248,6 +248,31 @@ def phase(spec, xi):
     else:
         raise InvalidInputError(f"not a multiplier spec: {spec!r}")
     return float(out[0]) if scalar else out
+
+
+def _closed_form_phase(spec, radius):
+    """beta * radius**alpha; DomainError naming the phase and the radius
+    where it overflows."""
+    with np.errstate(over="raise"):
+        try:
+            return spec.beta * radius**spec.alpha
+        except FloatingPointError:
+            r = radius.max() if spec.alpha > 0 else radius.min()
+            raise DomainError(f"phase {spec.beta:.6g}*|xi|**{spec.alpha:.6g} "
+                              f"overflows at |xi| = {r:.6g}") from None
+
+
+def _float_power(base, exponent, name):
+    """``base**exponent`` for a positive float ``base``; a result outside the
+    float range raises DomainError naming the quantity ``name``, not a bare
+    OverflowError or a silent 0."""
+    try:
+        out = base**exponent
+    except OverflowError:
+        raise DomainError(f"{name} = {base:.6g}**{exponent:.6g} overflows") from None
+    if out == 0.0:
+        raise DomainError(f"{name} = {base:.6g}**{exponent:.6g} underflows to 0")
+    return out
 
 
 def evaluate(spec, xi):
@@ -268,7 +293,8 @@ def dilate(spec, lam):
     if not np.isfinite(lam) or lam <= 0:
         raise DomainError(f"dilation factor must be positive, got {lam}")
     if isinstance(spec, ClosedForm):
-        return ClosedForm(spec.alpha, spec.beta * lam**spec.alpha)
+        return ClosedForm(spec.alpha,
+                          spec.beta * _float_power(lam, spec.alpha, "dilation power lam**alpha"))
     if isinstance(spec, Tabulated):
         if lam == 1.0:
             return spec
@@ -494,8 +520,14 @@ def _snapped_chord_sup(diff, scale, alpha, r_lo, r_hi, gain=1.0):
 def _power_phase_chord_sup(coef, alpha, r_lo, r_hi):
     if coef == 0.0:
         return 0.0
-    th1 = coef * r_lo**alpha
-    th2 = coef * r_hi**alpha
+    try:
+        th1 = coef * r_lo**alpha
+        th2 = coef * r_hi**alpha
+    except OverflowError:
+        th1 = th2 = np.inf
+    if not (np.isfinite(th1) and np.isfinite(th2)):
+        raise DomainError(f"phase {coef:.6g}*r**{alpha:.6g} overflows on "
+                          f"[{r_lo:.6g}, {r_hi:.6g}]")
     lo, hi = (th1, th2) if th1 <= th2 else (th2, th1)
     if hi - lo >= 2.0 * np.pi:
         return 2.0

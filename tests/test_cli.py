@@ -96,6 +96,19 @@ def test_evolve_unresolvable_band(tmp_path, capsys):
     assert code == 3
 
 
+def test_evolve_phase_overflow_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    out = tmp_path / "o.csv"
+    make_signal_file(src)
+    code, stdout, err = run_cli(capsys, [
+        "evolve", "--alpha", "400", "--beta", "1", "--t", "1",
+        "--input", str(src), "--output", str(out), "--band", "8",
+    ])
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: phase 1*|xi|**400 overflows") and err.count("\n") == 1
+
+
 def test_evolve_grid_consistency_flags(tmp_path, capsys):
     src = tmp_path / "in.csv"
     make_signal_file(src)
@@ -194,6 +207,22 @@ def test_verify_cli_invalid_spec(capsys):
     code, _, err = run_cli(capsys, ["verify", "--alpha", "0", "--beta", "1"])
     assert code == 2
     assert "invalid group" in err
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("alpha, quantity", [
+    ("1e-4", "canonical pair constant 2**(1/alpha)"),
+    ("400", "phase 1*|xi|**400"),
+])
+def test_verify_cli_overflow_is_a_usage_error(capsys, alpha, quantity, fast):
+    # an exponent whose powers leave the float range is a domain error:
+    # exit 2 and one line naming the quantity, no traceback and no warning
+    argv = ["verify", "--alpha", alpha, "--beta", "1"] + (["--fast"] if fast else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert quantity in err and "overflows" in err
 
 
 def test_verify_cli_full_suite_runtime(capsys):

@@ -12,6 +12,7 @@ from fracprop.errors import (
     GridMismatchError,
     InvalidInputError,
 )
+from fracprop.grids import band_mask, probe_rng
 
 
 def test_grid_duality_exact():
@@ -216,6 +217,24 @@ def test_random_band_signal_contract():
     assert np.any(c.values != a.values)
     assert abs(a.norm() - 1.0) <= 1e-14
     np.testing.assert_array_equal(fp.band_project(a, band).values, a.values)
+
+
+def test_random_band_signal_draws_only_band_bins():
+    # the first k normals of the (seed, stream) generator are the real parts
+    # and the next k the imaginary parts of the k band bins, in FFT order
+    g = fp.SpatialGrid(256, 20.0)
+    band = fp.BandSpec(6.0)
+    keep = band_mask(g, band)
+    k = int(keep.sum())
+    for seed, stream in [(42, 0), (7, 3), (2**40 + 1, 10_001)]:
+        F = fp.random_band_signal(band, g, seed, stream)
+        rng = probe_rng(seed, stream)
+        a = rng.standard_normal(k)
+        b = rng.standard_normal(k)
+        z = a + 1j * b
+        np.testing.assert_array_equal(F.values[~keep], 0.0)
+        np.testing.assert_array_equal(F.values[keep],
+                                      z / (np.linalg.norm(z) * np.sqrt(g.dxi)))
 
 
 def test_values_are_immutable():

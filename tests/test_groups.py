@@ -72,6 +72,17 @@ def test_scaling_identity_examples():
         fp.check_scaling(fp.GroupSpec(2.0, 1.0), -1.0)
 
 
+def test_scaling_out_of_range_is_a_domain_error():
+    # the chord sup's phase 1*r**400 leaves the float range at r = e^3
+    with pytest.raises(DomainError, match=r"phase .*\*r\*\*400 overflows"):
+        fp.check_scaling(fp.GroupSpec(400.0, 1.0), 8.0)
+    # the rescaling factor 8**(1/alpha) itself leaves it, above or below
+    with pytest.raises(DomainError, match=r"t\*\*\(1/alpha\) = 8\*\*.* overflows"):
+        fp.check_scaling(fp.GroupSpec(2.5e-3, 1.0), 8.0)
+    with pytest.raises(DomainError, match=r"t\*\*\(1/alpha\) = 8\*\*-400 underflows to 0"):
+        fp.check_scaling(fp.GroupSpec(-2.5e-3, 1.0), 8.0)
+
+
 def test_adjoint_is_negative_time(packet_grid, wide_band):
     # unitarity: applying T(t) then T(-t) restores the band projection, i.e.
     # the inverse (= adjoint) is the conjugate symbol

@@ -25,6 +25,16 @@ def test_canonical_pair_values():
         fp.canonical_pair(0.0)
 
 
+def test_canonical_pair_out_of_range_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"2\*\*\(1/alpha\) = 2\*\*10000 overflows"):
+        fp.canonical_pair(1e-4)
+    # 2**(1/alpha) still fits, 3**(1/alpha) does not
+    with pytest.raises(DomainError, match=r"3\*\*\(1/alpha\) .* overflows"):
+        fp.canonical_pair(1.5e-3)
+    with pytest.raises(DomainError, match=r"2\*\*\(1/alpha\) = 2\*\*-10000 underflows to 0"):
+        fp.canonical_pair(-1e-4)
+
+
 def test_pair_validation():
     with pytest.raises(DomainError):
         fp.SemistablePair(1.0, 3.0)  # a = 1 forces the constant symbol
