@@ -26,7 +26,7 @@ from .grids import (
     inverse_transform,
     random_band_signal,
 )
-from .symbols import _log_scan, _polished_max, _zoom_max, evaluate
+from .symbols import _brackets, _log_scan, _polished_max, _zoom_max, evaluate
 
 
 def apply(spec, f, band):
@@ -187,7 +187,7 @@ def _target_radii(m1, m2, scan, sup, r_star, limit=8):
             + d[np.clip(idx - 1, 0, d.size - 1)]
         )
         idx = idx[np.argsort(curvature)][:limit]
-    s_best, _ = _zoom_max(m1, m2, s[np.maximum(idx - 1, 0)], s[np.minimum(idx + 1, s.size - 1)])
+    s_best, _ = _zoom_max(m1, m2, *_brackets(s, idx))
     return np.unique(np.append(np.exp(s_best), r_star))
 
 

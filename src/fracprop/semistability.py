@@ -101,10 +101,9 @@ def _closed_form_residual(spec, lam, target, r_lo, r_hi, exact):
                               gain=spec.beta)
 
 
-def _sampled_residual(spec, lam, power, r_grid):
-    left = evaluate(spec, lam * r_grid)
-    right = evaluate(spec, r_grid) ** power
-    return float(np.max(np.abs(left - right)))
+def _sampled_residual(spec, lam, target, r_grid):
+    """Sup over ``r_grid`` of ``|m(lam*r) - target|``."""
+    return float(np.max(np.abs(evaluate(spec, lam * r_grid) - target)))
 
 
 def _effective_grid(spec, pair, r_grid):
@@ -144,8 +143,9 @@ def check_semistable(spec, pair, r_grid=None, tol=1e-12):
         eff = r_grid
     elif isinstance(spec, (Tabulated, SymbolProduct)):
         eff = _effective_grid(spec, pair, r_grid)
-        res2 = _sampled_residual(spec, pair.a, 2, eff)
-        res3 = _sampled_residual(spec, pair.b, 3, eff)
+        base = evaluate(spec, eff)  # m(r), shared by both relations
+        res2 = _sampled_residual(spec, pair.a, base**2, eff)
+        res3 = _sampled_residual(spec, pair.b, base**3, eff)
     else:
         raise InvalidInputError(f"not a multiplier spec: {spec!r}")
 

@@ -6,6 +6,7 @@ A symbol is one of three immutable specs:
 * :class:`Tabulated`: a radial profile sampled on a log-uniform grid, evaluated
   by cubic-spline interpolation of the unwrapped phase in log-radius (never of
   the complex values, so unit modulus is preserved and no chord shortcuts occur).
+  The spline's per-interval polynomial coefficients are stored with it.
 * :class:`SymbolProduct`: a pointwise product of integer powers of other specs.
 
 All evaluation goes through a real phase function, so results are exactly
@@ -90,7 +91,7 @@ def _log_radii(r):
 class Tabulated:
     """Radial profile on a strictly increasing, log-uniform radius grid."""
 
-    __slots__ = ("r", "values", "s", "phase", "_spline", "_nodes", "_resolved")
+    __slots__ = ("r", "values", "s", "phase", "_spline", "_coef", "_nodes", "_resolved")
 
     def __init__(self, r, values):
         r = np.asarray(r, dtype=float)
@@ -104,11 +105,13 @@ class Tabulated:
         raw = np.angle(values)
         phase = np.unwrap(raw)
         spline = _not_a_knot_spline(s, phase)
-        for arr in (values, phase, spline):
+        coef = _cubic_coefficients(s, phase, spline)
+        for arr in (values, phase, spline, coef):
             arr.setflags(write=False)
         self.values = values
         self.phase = phase
         self._spline = spline
+        self._coef = coef
         self._set_grid(r, s, _resolved_nodes(_wrapped_steps(raw)))
 
     def _set_grid(self, r, s, nodes):
@@ -121,14 +124,16 @@ class Tabulated:
 
     def _dilated(self, lam):
         """This profile on the radii ``r / lam``.  Only the grid is new: a
-        shift in log-radius leaves the phase, its resolved nodes and the
-        spline's second derivatives in log-radius as they are."""
+        shift in log-radius leaves the phase, its resolved nodes, the
+        spline's second derivatives and its interval polynomials in
+        log-radius as they are."""
         with np.errstate(over="ignore"):  # _log_radii refuses radii that overflow
             r = self.r / lam
         out = object.__new__(Tabulated)
         out.values = self.values
         out.phase = self.phase
         out._spline = self._spline
+        out._coef = self._coef
         out._set_grid(r, _log_radii(r), self._nodes)
         return out
 
@@ -194,14 +199,39 @@ def _not_a_knot_spline(s, y):
     return sig
 
 
+def _cubic_coefficients(s, y, sig):
+    """Rows ``(y_i, c1_i, sigma_i / 2, (sigma_{i+1} - sigma_i) / (6 h_i))``:
+    on ``[s_i, s_{i+1}]`` the spline is ``y_i + t*(c1_i + t*(c2_i + t*c3_i))``
+    with ``t = s - s_i`` (the piecewise-polynomial form)."""
+    h = np.diff(s)
+    c1 = np.diff(y) / h - h * (2.0 * sig[:-1] + sig[1:]) / 6.0
+    return np.column_stack([y[:-1], c1, 0.5 * sig[:-1], np.diff(sig) / (6.0 * h)])
+
+
+def _spline_intervals(s, s_query):
+    """Index of the grid interval holding each log-radius in ``s_query``:
+    ``clip(searchsorted(s, q) - 1, 0, n - 2)``, so a query on a node takes the
+    interval to its left and queries past either end take the end interval.
+
+    The index comes from the log-uniform step, ``floor((q - s_0) / step)``,
+    moved by one node where a comparison with the nodes disagrees: the grid is
+    uniform within 1e-9 relative, so the estimate is off by at most one.
+    """
+    last = s.size - 2
+    step = (s[-1] - s[0]) / (last + 1)
+    idx = np.clip((s_query - s[0]) / step, 0, last).astype(np.intp)
+    idx -= (s[idx] >= s_query) & (idx > 0)
+    idx += (s[idx + 1] < s_query) & (idx < last)
+    return idx
+
+
 def _spline_eval(tab, s_query):
-    s, y, sig = tab.s, tab.phase, tab._spline
-    idx = np.clip(np.searchsorted(s, s_query) - 1, 0, s.size - 2)
-    h = s[idx + 1] - s[idx]
-    t = s_query - s[idx]
-    slope = (y[idx + 1] - y[idx]) / h
-    c1 = slope - h * (2.0 * sig[idx] + sig[idx + 1]) / 6.0
-    return y[idx] + t * (c1 + t * (0.5 * sig[idx] + t * (sig[idx + 1] - sig[idx]) / (6.0 * h)))
+    """The spline at the log-radii ``s_query`` (any shape), from the stored
+    interval polynomials of :func:`_cubic_coefficients`."""
+    idx = _spline_intervals(tab.s, s_query)
+    y, c1, c2, c3 = np.moveaxis(tab._coef[idx], -1, 0)
+    t = s_query - tab.s[idx]
+    return y + t * (c1 + t * (c2 + t * c3))
 
 
 def _tabulated_phase(tab, radius):
@@ -235,6 +265,8 @@ def phase(spec, xi):
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     radius = np.abs(np.atleast_1d(xi_arr))
+    if not np.all(np.isfinite(radius)):
+        raise InvalidInputError("frequencies must be finite")
     if isinstance(spec, ClosedForm):
         if spec.alpha < 0 and np.any(radius == 0.0):
             raise DomainError("symbol with negative exponent has no value at xi = 0")
@@ -350,19 +382,19 @@ def tabulate(spec, r_min, r_max, num=4096):
 _ZOOM_POINTS = 65
 
 
-def _zoom_max(m1, m2, lo, hi, tol=1e-10):
-    """Maximize |m1 - m2| over the log-radius brackets ``[lo[j], hi[j]]``.
+def _zoom(dist, lo, hi, tol=1e-10):
+    """Maximize ``dist`` over the log-radius brackets ``[lo[j], hi[j]]``.
 
-    Each round evaluates both symbols once, on a ``(k, _ZOOM_POINTS)`` grid
-    that spans all k brackets, and narrows each bracket to the neighbours of
-    its argmax; it stops when every bracket is within ``tol``.  Returns the
+    ``dist`` maps a ``(k, _ZOOM_POINTS)`` array of radii, row j spanning
+    bracket j, to the distances there.  Each round calls it once and narrows
+    each bracket to the neighbours of its argmax; it stops when every bracket
+    is within ``tol``, so all k brackets share every round.  Returns the
     log-radius and the value of each bracket's maximum.
     """
     rows = np.arange(np.size(lo))
     while True:
         s = np.linspace(lo, hi, _ZOOM_POINTS, axis=-1)
-        r = np.exp(s)
-        d = np.abs(evaluate(m1, r) - evaluate(m2, r))
+        d = dist(np.exp(s))
         i = np.argmax(d, axis=-1)
         lo = s[rows, np.maximum(i - 1, 0)]
         hi = s[rows, np.minimum(i + 1, _ZOOM_POINTS - 1)]
@@ -370,18 +402,33 @@ def _zoom_max(m1, m2, lo, hi, tol=1e-10):
             return s[rows, i], d[rows, i]
 
 
-def _log_scan(m1, m2, band, samples):
-    """``(s, r, d)``: ``d = |m1(r) - m2(r)|`` on ``samples`` radii ``r = e**s``
-    evenly spaced in log-radius across the band."""
+def _zoom_max(m1, m2, lo, hi):
+    """:func:`_zoom` of ``|m1 - m2|``: both symbols are evaluated once a round."""
+    return _zoom(lambda r: np.abs(evaluate(m1, r) - evaluate(m2, r)), lo, hi)
+
+
+def _band_log_grid(band, samples):
+    """``(s, r)``: ``samples`` radii ``r = e**s`` evenly spaced in log-radius
+    across the band."""
     s = np.linspace(-np.log(band.R), np.log(band.R), samples)
-    r = np.exp(s)
+    return s, np.exp(s)
+
+
+def _log_scan(m1, m2, band, samples):
+    """``(s, r, d)``: ``d = |m1(r) - m2(r)|`` on the :func:`_band_log_grid`."""
+    s, r = _band_log_grid(band, samples)
     return s, r, np.abs(evaluate(m1, r) - evaluate(m2, r))
+
+
+def _brackets(s, i):
+    """Log-radius brackets of the scan points ``i``: their two neighbours."""
+    return s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, s.size - 1)]
 
 
 def _polished_max(m1, m2, s, r, d):
     """Value and radius of the maximum of a :func:`_log_scan`, zoomed in on."""
     i = int(np.argmax(d))
-    s_best, polished = _zoom_max(m1, m2, s[[max(i - 1, 0)]], s[[min(i + 1, s.size - 1)]])
+    s_best, polished = _zoom_max(m1, m2, *_brackets(s, np.array([i])))
     if polished[0] >= d[i]:
         return float(polished[0]), float(np.exp(s_best[0]))
     return float(d[i]), float(r[i])
@@ -389,6 +436,13 @@ def _polished_max(m1, m2, s, r, d):
 
 def _sup_distance_with_argmax(m1, m2, band, samples):
     return _polished_max(m1, m2, *_log_scan(m1, m2, band, samples))
+
+
+def _checked_samples(samples):
+    samples = int(samples)
+    if samples < 1024:
+        raise InvalidInputError(f"need at least 1024 samples, got {samples}")
+    return samples
 
 
 def band_sup_distance(m1, m2, band, samples=4096):
@@ -400,9 +454,7 @@ def band_sup_distance(m1, m2, band, samples=4096):
     log-radius.  Equals the operator norm of the difference restricted to the
     band.
     """
-    samples = int(samples)
-    if samples < 1024:
-        raise InvalidInputError(f"need at least 1024 samples, got {samples}")
+    samples = _checked_samples(samples)
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
         return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
     value, _ = _sup_distance_with_argmax(m1, m2, band, samples)
@@ -442,9 +494,36 @@ def _phase_slope_bound(spec, band, eps_max, samples=4096):
     return float(np.max(np.abs(np.diff(ph))) / (s[1] - s[0]))
 
 
+def _dilation_sup_distances(spec, lams, band, samples):
+    """``band_sup_distance(dilate(spec, lam), spec, band, samples)`` for each
+    ``lam``, read as ``|m(lam*r) - m(r)|`` on the parent's radii.
+
+    m(r) is evaluated once on the band scan and each m(lam*r) against it, one
+    row at a time, so the scan holds one row of distances at once; one
+    :func:`_zoom` then polishes the maxima of all rows together.
+    """
+    s, r = _band_log_grid(band, _checked_samples(samples))
+    base = evaluate(spec, r)
+    peak = np.empty(lams.size)
+    at = np.empty(lams.size, dtype=np.intp)
+    for j, lam in enumerate(lams):
+        d = np.abs(evaluate(spec, lam * r) - base)
+        at[j] = np.argmax(d)
+        peak[j] = d[at[j]]
+    _, polished = _zoom(lambda rr: np.abs(evaluate(spec, lams[:, None] * rr) - evaluate(spec, rr)),
+                        *_brackets(s, at))
+    return np.maximum(polished, peak)
+
+
 def continuity_modulus(spec, band, eps_grid, luc_threshold=None, samples=4096):
     """omega(eps) = sup over |log lam| <= eps of the band sup distance between
     the rescaled and original symbol, sampled at the grid epsilons.
+
+    Each positive epsilon contributes lam = e**eps and e**-eps.  Closed forms
+    take the exact chord sup of :func:`band_sup_distance` per lam.  Other
+    specs share one evaluation of m(r) on the band scan, evaluate m(lam*r)
+    against it row by row and polish all 2k maxima in one joint zoom, so the
+    zoom's evaluations do not grow with the number of epsilons.
 
     The flag compares omega at the smallest epsilon against a slope-based
     threshold (clipped to [1e-6, 1]); it detects discontinuity, it does not
@@ -453,19 +532,19 @@ def continuity_modulus(spec, band, eps_grid, luc_threshold=None, samples=4096):
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     if eps.size == 0 or np.any(eps < 0):
         raise InvalidInputError("eps grid must be non-negative")
-    omega = np.empty(eps.size)
-    running = 0.0
-    for j, e in enumerate(eps):
-        if e == 0.0:
-            omega[j] = running
-            continue
-        d_up = band_sup_distance(dilate(spec, float(np.exp(e))), spec, band, samples)
-        d_dn = band_sup_distance(dilate(spec, float(np.exp(-e))), spec, band, samples)
-        running = max(running, d_up, d_dn)
-        omega[j] = running
+    positive = eps[eps > 0]
+    lams = np.array([float(np.exp(sign * e)) for e in positive for sign in (1.0, -1.0)])
+    if isinstance(spec, ClosedForm) or positive.size == 0:
+        dist = np.array([band_sup_distance(dilate(spec, lam), spec, band, samples)
+                         for lam in lams])
+    else:
+        dist = _dilation_sup_distances(spec, lams, band, samples)
+    per_eps = np.zeros(eps.size)
+    per_eps[eps.size - positive.size:] = dist.reshape(-1, 2).max(axis=1)
+    omega = np.maximum.accumulate(per_eps)
     if luc_threshold is None:
         slope = _phase_slope_bound(spec, band, float(eps[-1]), samples)
-        smallest = eps[eps > 0][0] if np.any(eps > 0) else 0.0
+        smallest = positive[0] if positive.size else 0.0
         luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
     return ContinuityReport(eps, omega, omega[0] <= luc_threshold, luc_threshold)
 
@@ -500,21 +579,36 @@ def load_symbol_csv(path):
 # interval contains an odd multiple of pi, and an endpoint value otherwise.
 
 _EPS = np.finfo(float).eps
-# A stored double can satisfy lam**alpha == target only to a few ulps; a
-# coefficient difference within this distance is indistinguishable from exact
-# and treated as such, otherwise the residual would be dominated by
-# representation error rather than by any property of the symbol.  A 1%
-# perturbation sits ~13 orders of magnitude above the snap.
+# A stored double can satisfy lam**alpha == target only to a few ulps, plus
+# about |alpha|/2 more, since lam itself is rounded and the power magnifies
+# its relative error alpha-fold; a coefficient difference within
+# _SNAP_ULPS + |alpha| ulps is indistinguishable from exact and treated as
+# such, otherwise the residual would be dominated by representation error
+# rather than by any property of the symbol.  A 1e-9 relative perturbation
+# sits more than four orders of magnitude above the snap.
 _SNAP_ULPS = 64
 
 
 def _snapped_chord_sup(diff, scale, alpha, r_lo, r_hi, gain=1.0):
     """``_power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)``, with a
     difference ``diff`` of coefficients of size ``scale`` taken as zero when it
-    is within _SNAP_ULPS ulps of that size."""
-    if abs(diff) <= _SNAP_ULPS * _EPS * scale:
+    is within ``_SNAP_ULPS + |alpha|`` ulps of that size.  Radii whose power
+    ``r**alpha`` leaves the float range raise DomainError first, snapped or
+    not."""
+    for r in (r_lo, r_hi):
+        try:
+            power = float(r) ** alpha
+        except OverflowError:
+            power = np.inf
+        if not np.isfinite(power):
+            raise _phase_overflow(gain * diff, alpha, r_lo, r_hi)
+    if abs(diff) <= (_SNAP_ULPS + abs(alpha)) * _EPS * scale:
         return 0.0
     return _power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)
+
+
+def _phase_overflow(coef, alpha, r_lo, r_hi):
+    return DomainError(f"phase {coef:.6g}*r**{alpha:.6g} overflows on [{r_lo:.6g}, {r_hi:.6g}]")
 
 
 def _power_phase_chord_sup(coef, alpha, r_lo, r_hi):
@@ -526,8 +620,7 @@ def _power_phase_chord_sup(coef, alpha, r_lo, r_hi):
     except OverflowError:
         th1 = th2 = np.inf
     if not (np.isfinite(th1) and np.isfinite(th2)):
-        raise DomainError(f"phase {coef:.6g}*r**{alpha:.6g} overflows on "
-                          f"[{r_lo:.6g}, {r_hi:.6g}]")
+        raise _phase_overflow(coef, alpha, r_lo, r_hi)
     lo, hi = (th1, th2) if th1 <= th2 else (th2, th1)
     if hi - lo >= 2.0 * np.pi:
         return 2.0

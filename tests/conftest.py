@@ -123,7 +123,7 @@ def wide_band():
 @pytest.fixture
 def evaluate_calls(monkeypatch):
     """A list that gains one entry per symbol evaluation made by the
-    ``symbols`` and ``operators`` modules."""
+    ``symbols``, ``operators`` and ``semistability`` modules."""
     calls = []
     evaluate = fp.symbols.evaluate
 
@@ -133,4 +133,5 @@ def evaluate_calls(monkeypatch):
 
     monkeypatch.setattr(fp.symbols, "evaluate", counted)
     monkeypatch.setattr(fp.operators, "evaluate", counted)
+    monkeypatch.setattr(fp.semistability, "evaluate", counted)
     return calls

@@ -225,6 +225,17 @@ def test_verify_cli_overflow_is_a_usage_error(capsys, alpha, quantity, fast):
     assert quantity in err and "overflows" in err
 
 
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("alpha", ["154", "-154"])
+def test_verify_cli_large_exponent_passes(capsys, alpha, fast):
+    # the rounding of (2**(1/alpha))**alpha grows with alpha; the order and
+    # scaling checks must not read it as a failure
+    argv = ["verify", "--alpha", alpha, "--beta", "1", "--seed", "7"] + (["--fast"] if fast else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_cli_full_suite_runtime(capsys):
     import time
 

@@ -86,6 +86,15 @@ def test_check_semistable_tabulated():
     assert rep.r_range[1] <= np.exp(4.0) / 9.0 * (1 + 1e-12)
 
 
+def test_check_semistable_tabulated_evaluates_m_once(evaluate_calls):
+    # m(r) is shared by both relations: m(r), m(a*r), m(b*r) and the two
+    # sides of the symmetry check
+    tab = fp.tabulate(fp.ClosedForm(0.5, 1.5), np.exp(-4.0), np.exp(4.0), 4096)
+    evaluate_calls.clear()
+    fp.check_semistable(tab, fp.canonical_pair(0.5), tol=1e-8)
+    assert len(evaluate_calls) == 5
+
+
 def test_check_semistable_tabulated_range_too_small():
     tab = fp.tabulate(fp.ClosedForm(0.5, 1.5), 0.9, 1.1, 64)
     with pytest.raises(SymbolRangeError):
@@ -121,6 +130,30 @@ def test_check_order_detects_corrupted_dilation(monkeypatch):
 
     monkeypatch.setattr(semistability, "dilate", broken)
     assert not fp.check_order(fp.ClosedForm(2.0, 1.0))
+
+
+def test_order_and_scaling_exact_for_large_exponents():
+    # (2**(1/alpha))**alpha carries about |alpha|/2 ulps of rounding, which
+    # the chord sup over [e^-3, e^3] magnifies by r**alpha; the snap absorbs
+    # it up to where r**alpha leaves the float range (|alpha| near 237)
+    rng = np.random.default_rng(154)
+    alphas = np.concatenate([[154.0, -154.0, 236.0, -236.0],
+                             rng.choice([-1.0, 1.0], 150) * rng.uniform(1.0, 236.0, 150)])
+    for alpha in alphas:
+        beta = float(rng.uniform(0.1, 5.0)) * float(rng.choice([-1.0, 1.0]))
+        assert semistability.order_doubling_residual(fp.ClosedForm(alpha, beta)) <= 1e-12, alpha
+        group = fp.GroupSpec(alpha, beta)
+        assert max(fp.check_scaling(group, t) for t in (0.25, 1.0, 8.0)) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("alpha", [154.0, -154.0])
+def test_order_check_catches_a_small_rescale_error_at_large_exponent(monkeypatch, alpha):
+    # the wider snap still leaves a 1e-9 relative error in the rescale factor
+    # (about 1e-7 in lam**alpha) far outside it
+    real_dilate = semistability.dilate
+    monkeypatch.setattr(semistability, "dilate",
+                        lambda spec, lam: real_dilate(spec, lam * (1.0 + 1e-9)))
+    assert semistability.order_doubling_residual(fp.ClosedForm(alpha, 1.0)) == 2.0
 
 
 def test_report_serialization():

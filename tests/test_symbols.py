@@ -41,6 +41,23 @@ def test_eval_tabulated_against_closed_form_oracle():
     assert fp.evaluate(tab, -2.5) == fp.evaluate(tab, 2.5)
 
 
+NON_FINITE_SPECS = {
+    "closed_form": fp.ClosedForm(2.0, 1.0),
+    "tabulated": fp.tabulate(fp.ClosedForm(1.0, 1.0), 0.5, 2.0, 64),
+    "product": fp.combine([(fp.ClosedForm(2.0, 1.0), 1), (fp.ClosedForm(1.0, -0.5), 3)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_SPECS))
+@pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
+def test_eval_refuses_non_finite_frequencies(kind, xi):
+    spec = NON_FINITE_SPECS[kind]
+    with pytest.raises(InvalidInputError, match="finite"):
+        fp.evaluate(spec, xi)
+    with pytest.raises(InvalidInputError, match="finite"):
+        fp.symbols.phase(spec, np.array([1.0, xi]))
+
+
 def test_eval_tabulated_out_of_range():
     tab = fp.tabulate(fp.ClosedForm(1.0, 1.0), 0.5, 2.0, 64)
     with pytest.raises(SymbolRangeError):
@@ -140,7 +157,9 @@ def test_dilate_tabulated_shares_the_spline(monkeypatch):
     assert shifted._spline is tab._spline
     assert shifted.phase is tab.phase
     assert shifted.values is tab.values
+    assert shifted._coef is tab._coef
     assert not shifted._spline.flags.writeable
+    assert not shifted._coef.flags.writeable
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -150,6 +169,50 @@ def test_dilate_tabulated_refuses_radii_beyond_float_range():
         fp.dilate(tab, 1e-300)  # largest radii overflow to inf
     with pytest.raises(InvalidInputError):
         fp.dilate(tab, 1e300)  # smallest radii underflow to 0
+
+
+def _log_uniform_nodes(s0, span, n, wobble):
+    """Log-radii of an n-node grid on ``[s0, s0 + span]`` whose steps deviate
+    from the mean by ``wobble`` relative: up in the first half, down in the
+    second, so the nodes drift from the uniform grid by up to ``n/2 * wobble``
+    steps."""
+    ds = np.full(n - 1, span / (n - 1))
+    ds[: (n - 1) // 2] *= 1.0 + wobble
+    ds[(n - 1) // 2:] *= 1.0 - wobble
+    return fp.Tabulated(np.exp(s0 + np.concatenate([[0.0], np.cumsum(ds)])),
+                        np.ones(n, dtype=complex)).s
+
+
+@seed(11)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(8, 5000),
+    st.floats(-5.0, 5.0),
+    st.floats(0.5, 12.0),
+    st.sampled_from([0.0, 0.7e-9]),
+    st.sampled_from([1.0, 1.0009, 1.0 / 3.0, 7.5]),
+    st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=40),
+)
+def test_spline_intervals_match_searchsorted(n, s0, span, wobble, lam, fractions):
+    # the grid is built through Tabulated, so it passes the 1e-9 log-uniform
+    # check (a wobble of 0.7e-9 puts its steps up to 0.8e-9 off the mean);
+    # queries hit every node (ties), both ends, just past them and random
+    # points in and around the table
+    tab = fp.Tabulated(np.exp(_log_uniform_nodes(s0, span, n, wobble)),
+                       np.ones(n, dtype=complex))
+    s = (tab if lam == 1.0 else fp.dilate(tab, lam)).s
+    span = s[-1] - s[0]
+    q = np.concatenate([
+        s,
+        [s[0], s[-1], s[0] - 1e-12 * abs(s[0]) - 1e-300, s[-1] + 1e-12 * abs(s[-1]) + 1e-300],
+        np.nextafter(s, np.inf),
+        np.nextafter(s, -np.inf),
+        s[0] + span * np.array(fractions),
+    ])
+    want = np.clip(np.searchsorted(s, q) - 1, 0, n - 2)
+    np.testing.assert_array_equal(fp.symbols._spline_intervals(s, q), want)
+    np.testing.assert_array_equal(fp.symbols._spline_intervals(s, q.reshape(1, -1)),
+                                  want.reshape(1, -1))
 
 
 def _dense_not_a_knot(s, y):
@@ -336,6 +399,48 @@ def test_continuity_modulus_detects_sign_flip():
     rep = fp.continuity_modulus(spec, fp.BandSpec(2.0), [ds, 2 * ds], samples=4096)
     assert rep.omega[0] >= 2.0 - 1e-6
     assert not rep.luc_flag
+
+
+def _continuity_oracle(spec, band, eps):
+    """omega from one band_sup_distance per dilation, as its definition reads."""
+    per_eps = [max(fp.band_sup_distance(fp.dilate(spec, float(np.exp(e))), spec, band),
+                   fp.band_sup_distance(fp.dilate(spec, float(np.exp(-e))), spec, band))
+               for e in eps]
+    return np.maximum.accumulate(per_eps)
+
+
+CONTINUITY_SPECS = {
+    "tabulated": fp.Tabulated(log_grid(np.exp(-3.0), np.exp(3.0), 4096),
+                              np.exp(1.3j * log_grid(np.exp(-3.0), np.exp(3.0), 4096) ** 0.8)),
+    "product": fp.combine([(fp.ClosedForm(2.0, 1.0), 1), (fp.ClosedForm(0.5, -3.0), 2)]),
+    "product_with_table": fp.combine([
+        (fp.tabulate(fp.ClosedForm(0.7, 4.0), np.exp(-3.0), np.exp(3.0), 4096), 1),
+        (fp.ClosedForm(1.5, 0.2), -1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTINUITY_SPECS))
+def test_continuity_modulus_matches_per_dilation_sup_distances(kind):
+    spec = CONTINUITY_SPECS[kind]
+    band = fp.BandSpec(2.0)
+    eps = [1e-4, 1e-3, 1e-2, 0.05]
+    rep = fp.continuity_modulus(spec, band, eps)
+    oracle = _continuity_oracle(spec, band, eps)
+    assert np.max(np.abs(rep.omega - oracle)) <= 1e-14
+    assert np.all(oracle > 0.0)
+
+
+@pytest.mark.parametrize("eps_count", [1, 3, 8])
+def test_continuity_modulus_evaluate_calls(evaluate_calls, eps_count):
+    # one evaluation of m(r) on the band scan, one of m(lam*r) per dilation,
+    # and a joint zoom whose rounds do not depend on the number of epsilons
+    spec = CONTINUITY_SPECS["tabulated"]
+    eps = np.geomspace(1e-4, 1e-2, eps_count)
+    evaluate_calls.clear()
+    fp.continuity_modulus(spec, fp.BandSpec(2.0), eps)
+    zoom = len(evaluate_calls) - 1 - 2 * eps_count
+    assert zoom == 8
 
 
 def test_symbol_csv_roundtrip_and_validation(tmp_path):
