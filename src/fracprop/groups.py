@@ -83,7 +83,8 @@ def check_scaling(group, t, r_lo=None, r_hi=None):
     rescaled = dilate(member(group, 1.0),
                       _float_power(t, 1.0 / group.alpha, "rescaling factor t**(1/alpha)"))
     scale = max(abs(direct.beta), abs(rescaled.beta), 1.0)
-    return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, r_lo, r_hi)
+    return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, r_lo, r_hi,
+                              coef=direct.beta)
 
 
 class SlopeFit(NamedTuple):

@@ -98,7 +98,7 @@ def _closed_form_residual(spec, lam, target, r_lo, r_hi, exact):
         return 0.0
     power = _float_power(lam, spec.alpha, "scaling power lam**alpha")
     return _snapped_chord_sup(power - target, target, spec.alpha, r_lo, r_hi,
-                              gain=spec.beta)
+                              gain=spec.beta, coef=spec.beta)
 
 
 def _sampled_residual(spec, lam, target, r_grid):
@@ -171,7 +171,7 @@ def order_doubling_residual(spec, r_lo=None, r_hi=None):
     squared = combine([(spec, 2)])
     rescaled = dilate(spec, _float_power(2.0, 1.0 / spec.alpha, "order 2**(1/alpha)"))
     return _snapped_chord_sup(squared.beta - rescaled.beta, max(abs(squared.beta), 1.0),
-                              spec.alpha, r_lo, r_hi)
+                              spec.alpha, r_lo, r_hi, coef=spec.beta)
 
 
 def check_order(spec, tol=1e-12):

@@ -168,44 +168,70 @@ class SymbolProduct:
 # plain linear interpolation has O(h^2) error several orders too large.
 
 def _not_a_knot_spline(s, y):
+    """Second derivatives ``sigma`` of the not-a-knot cubic spline through
+    ``(s, y)``.
+
+    The end conditions eliminate ``sigma_0`` and ``sigma_{n-1}``, leaving a
+    tridiagonal system in ``sigma_1 .. sigma_{n-2}``.  It is solved directly by
+    cyclic reduction (Buzbee, Golub and Nielson, 1970) in about log2(n)
+    vectorized levels: the system is padded with identity rows to
+    ``2**k - 1`` unknowns, each level eliminates every other unknown from its
+    neighbours' rows, and back-substitution recovers them level by level.
+    Every row is strictly diagonally dominant for positive steps (the end rows
+    too: ``3h_0 + 2h_1 + h_0**2/h_1 > |h_1 - h_0**2/h_1|``), and cyclic
+    reduction keeps that dominance from level to level, so no pivoting is
+    needed (Heller, 1976).
+    """
     n = s.size
     h = np.diff(s)
-    d = 6.0 * np.diff(np.diff(y) / h)
     m = n - 2  # unknowns sigma_1 .. sigma_{n-2}
-    lower = h[:-1].copy()
-    diag = 2.0 * (h[:-1] + h[1:])
-    upper = h[1:].copy()
+    size = (1 << m.bit_length()) - 1
+    # row i: -lower_i*x_{i-1} + diag_i*x_i - upper_i*x_{i+1} = rhs_i
+    lower = np.zeros(size)
+    diag = np.ones(size)
+    upper = np.zeros(size)
+    rhs = np.zeros(size)
+    lower[1:m] = -h[1:-1]
+    diag[:m] = 2.0 * (h[:-1] + h[1:])
+    upper[:m - 1] = -h[1:-1]
+    rhs[:m] = 6.0 * np.diff(np.diff(y) / h)
     r0 = h[0] / h[1]
     diag[0] += h[0] * (1.0 + r0)
-    upper[0] -= h[0] * r0
+    upper[0] += h[0] * r0
     r1 = h[-1] / h[-2]
-    diag[-1] += h[-1] * (1.0 + r1)
-    lower[-1] -= h[-1] * r1
-    # Thomas elimination, on Python floats: the same IEEE double arithmetic
-    # as on numpy scalars, without the cost of indexing them one by one
-    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), d.tolist()
-    for i in range(1, m):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    sig_inner = [0.0] * m
-    sig_inner[-1] = rhs[-1] / diag[-1]
-    for i in range(m - 2, -1, -1):
-        sig_inner[i] = (rhs[i] - upper[i] * sig_inner[i + 1]) / diag[i]
+    diag[m - 1] += h[-1] * (1.0 + r1)
+    lower[m - 1] += h[-1] * r1
+    levels = []
+    while diag.size > 1:
+        levels.append((lower, diag, upper, rhs))
+        wl = lower[1::2] / diag[:-1:2]
+        wu = upper[1::2] / diag[2::2]
+        lower, diag, upper, rhs = (wl * lower[:-1:2],
+                                   diag[1::2] - wl * upper[:-1:2] - wu * lower[2::2],
+                                   wu * upper[2::2],
+                                   rhs[1::2] + wl * rhs[:-1:2] + wu * rhs[2::2])
+    x = rhs / diag
+    for lower, diag, upper, rhs in reversed(levels):
+        full = np.zeros(diag.size + 2)  # this level's unknowns, zero past both ends
+        full[2:-1:2] = x
+        full[1:-1:2] = (rhs[::2] + lower[::2] * full[:-2:2] + upper[::2] * full[2::2]) / diag[::2]
+        x = full[1:-1]
     sig = np.empty(n)
-    sig[1:-1] = sig_inner
+    sig[1:-1] = x[:m]
     sig[0] = sig[1] * (1.0 + r0) - sig[2] * r0
     sig[-1] = sig[-2] * (1.0 + r1) - sig[-3] * r1
     return sig
 
 
 def _cubic_coefficients(s, y, sig):
-    """Rows ``(y_i, c1_i, sigma_i / 2, (sigma_{i+1} - sigma_i) / (6 h_i))``:
-    on ``[s_i, s_{i+1}]`` the spline is ``y_i + t*(c1_i + t*(c2_i + t*c3_i))``
-    with ``t = s - s_i`` (the piecewise-polynomial form)."""
+    """C-contiguous ``(4, n-1)`` rows ``y_i``, ``c1_i``, ``sigma_i / 2`` and
+    ``(sigma_{i+1} - sigma_i) / (6 h_i)``: on ``[s_i, s_{i+1}]`` the spline is
+    ``y_i + t*(c1_i + t*(c2_i + t*c3_i))`` with ``t = s - s_i`` (the
+    piecewise-polynomial form).  One row per coefficient lets a query gather
+    each from one contiguous array."""
     h = np.diff(s)
     c1 = np.diff(y) / h - h * (2.0 * sig[:-1] + sig[1:]) / 6.0
-    return np.column_stack([y[:-1], c1, 0.5 * sig[:-1], np.diff(sig) / (6.0 * h)])
+    return np.stack([y[:-1], c1, 0.5 * sig[:-1], np.diff(sig) / (6.0 * h)])
 
 
 def _spline_intervals(s, s_query):
@@ -220,8 +246,8 @@ def _spline_intervals(s, s_query):
     last = s.size - 2
     step = (s[-1] - s[0]) / (last + 1)
     idx = np.clip((s_query - s[0]) / step, 0, last).astype(np.intp)
-    idx -= (s[idx] >= s_query) & (idx > 0)
-    idx += (s[idx + 1] < s_query) & (idx < last)
+    idx -= (np.take(s, idx) >= s_query) & (idx > 0)
+    idx += (np.take(s, idx + 1) < s_query) & (idx < last)
     return idx
 
 
@@ -229,8 +255,8 @@ def _spline_eval(tab, s_query):
     """The spline at the log-radii ``s_query`` (any shape), from the stored
     interval polynomials of :func:`_cubic_coefficients`."""
     idx = _spline_intervals(tab.s, s_query)
-    y, c1, c2, c3 = np.moveaxis(tab._coef[idx], -1, 0)
-    t = s_query - tab.s[idx]
+    y, c1, c2, c3 = np.take(tab._coef, idx, axis=1)
+    t = s_query - np.take(tab.s, idx)
     return y + t * (c1 + t * (c2 + t * c3))
 
 
@@ -589,19 +615,20 @@ _EPS = np.finfo(float).eps
 _SNAP_ULPS = 64
 
 
-def _snapped_chord_sup(diff, scale, alpha, r_lo, r_hi, gain=1.0):
+def _snapped_chord_sup(diff, scale, alpha, r_lo, r_hi, gain=1.0, *, coef):
     """``_power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)``, with a
     difference ``diff`` of coefficients of size ``scale`` taken as zero when it
     is within ``_SNAP_ULPS + |alpha|`` ulps of that size.  Radii whose power
     ``r**alpha`` leaves the float range raise DomainError first, snapped or
-    not."""
+    not, naming the phase ``coef*r**alpha`` of the symbol under test: the
+    difference is rounding residue when it would have been snapped."""
     for r in (r_lo, r_hi):
         try:
             power = float(r) ** alpha
         except OverflowError:
             power = np.inf
         if not np.isfinite(power):
-            raise _phase_overflow(gain * diff, alpha, r_lo, r_hi)
+            raise _phase_overflow(coef, alpha, r_lo, r_hi)
     if abs(diff) <= (_SNAP_ULPS + abs(alpha)) * _EPS * scale:
         return 0.0
     return _power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)

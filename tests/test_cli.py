@@ -213,16 +213,20 @@ def test_verify_cli_invalid_spec(capsys):
 @pytest.mark.parametrize("alpha, quantity", [
     ("1e-4", "canonical pair constant 2**(1/alpha)"),
     ("400", "phase 1*|xi|**400"),
+    ("240", "phase 1*r**240 overflows"),
+    ("-240", "phase 1*|xi|**-240 overflows"),
 ])
 def test_verify_cli_overflow_is_a_usage_error(capsys, alpha, quantity, fast):
     # an exponent whose powers leave the float range is a domain error:
-    # exit 2 and one line naming the quantity, no traceback and no warning
+    # exit 2 and one line naming the quantity, no traceback and no warning;
+    # the phase named is the symbol's, not a rounding residue like -2.7e-14
     argv = ["verify", "--alpha", alpha, "--beta", "1"] + (["--fast"] if fast else [])
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert quantity in err and "overflows" in err
+    assert "e-14" not in err
 
 
 @pytest.mark.parametrize("fast", [False, True])

@@ -231,18 +231,109 @@ def _dense_not_a_knot(s, y):
     return np.linalg.solve(a, b)
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 512])
-@pytest.mark.parametrize("spacing", ["log_uniform", "non_uniform"])
-def test_not_a_knot_spline_matches_dense_solve(n, spacing):
-    rng = np.random.default_rng(n)
+def _thomas_not_a_knot(s, y):
+    """The same second derivatives by Thomas elimination of the tridiagonal
+    inner system, one row at a time in Python floats: O(n), so it reaches
+    sizes a dense solve cannot."""
+    n = s.size
+    h = np.diff(s).tolist()
+    d = (6.0 * np.diff(np.diff(y) / np.diff(s))).tolist()
+    m = n - 2
+    lower = h[:-1]
+    diag = [2.0 * (h[i] + h[i + 1]) for i in range(m)]
+    upper = h[1:]
+    r0 = h[0] / h[1]
+    diag[0] += h[0] * (1.0 + r0)
+    upper[0] -= h[0] * r0
+    r1 = h[-1] / h[-2]
+    diag[-1] += h[-1] * (1.0 + r1)
+    lower[-1] -= h[-1] * r1
+    for i in range(1, m):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        d[i] -= w * d[i - 1]
+    sig = [0.0] * n
+    sig[m] = d[-1] / diag[-1]
+    for i in range(m - 2, -1, -1):
+        sig[i + 1] = (d[i] - upper[i] * sig[i + 2]) / diag[i]
+    sig[0] = sig[1] * (1.0 + r0) - sig[2] * r0
+    sig[-1] = sig[-2] * (1.0 + r1) - sig[-3] * r1
+    return np.array(sig)
+
+
+def _spline_test_data(n, spacing, rng):
     if spacing == "log_uniform":
         s = np.linspace(-2.0, 2.0, n)
     else:
         s = np.cumsum(rng.uniform(0.2, 1.0, n))
-    y = np.sin(3.0 * s) + rng.normal(scale=0.1, size=n)
+    return s, np.sin(3.0 * s) + rng.normal(scale=0.1, size=n)
+
+
+# cyclic reduction pads the n - 2 unknowns to 2**k - 1: sizes on both sides
+# of a power of two take different paddings
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 257, 258, 512, 1025, 1026, 1027])
+@pytest.mark.parametrize("spacing", ["log_uniform", "non_uniform"])
+def test_not_a_knot_spline_matches_dense_solve(n, spacing):
+    s, y = _spline_test_data(n, spacing, np.random.default_rng(n))
     got = fp.symbols._not_a_knot_spline(s, y)
     want = _dense_not_a_knot(s, y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@seed(11)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 2000), st.integers(0, 2**32 - 1))
+def test_not_a_knot_spline_matches_dense_solve_on_random_steps(n, rng_seed):
+    s, y = _spline_test_data(n, "non_uniform", np.random.default_rng(rng_seed))
+    got = fp.symbols._not_a_knot_spline(s, y)
+    want = _dense_not_a_knot(s, y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spacing", ["log_uniform", "non_uniform"])
+def test_not_a_knot_spline_matches_thomas_at_large_n(spacing):
+    s, y = _spline_test_data(65536, spacing, np.random.default_rng(5))
+    got = fp.symbols._not_a_knot_spline(s, y)
+    want = _thomas_not_a_knot(s, y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_tabulated_large_n_matches_closed_form():
+    spec = fp.ClosedForm(0.8, 1.3)
+    tab = fp.tabulate(spec, np.exp(-3.0), np.exp(3.0), 65536)
+    r = log_grid(np.exp(-3.0), np.exp(3.0), 20001)
+    assert np.max(np.abs(fp.evaluate(tab, r) - fp.evaluate(spec, r))) <= 1e-9
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(8, 600),
+    st.sampled_from([-1.5, 0.5, 0.8, 2.0]),
+    st.floats(-5.0, 5.0),
+    st.sampled_from([1.0, 1.0009, 1.0 / 3.0, 7.5]),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_spline_eval_is_the_horner_form(n, alpha, beta, lam, rows, rng_seed):
+    # the stored-coefficient kernel gives, bit for bit, the Horner form on the
+    # intervals searchsorted finds; a dilated table reads its parent's
+    # coefficients on its own log-radii.  rows == 0 takes 1-d queries that
+    # include every node, otherwise (rows, 65) queries
+    base = fp.tabulate(fp.ClosedForm(alpha, beta), np.exp(-2.0), np.exp(2.0), n)
+    tab = base if lam == 1.0 else fp.dilate(base, lam)
+    s = tab.s
+    rng = np.random.default_rng(rng_seed)
+    if rows == 0:
+        q = np.concatenate([s, s[0] + (s[-1] - s[0]) * rng.uniform(-0.1, 1.1, 200)])
+    else:
+        q = s[0] + (s[-1] - s[0]) * rng.uniform(-0.1, 1.1, (rows, 65))
+    idx = np.clip(np.searchsorted(s, q) - 1, 0, n - 2)
+    y, c1, c2, c3 = fp.symbols._cubic_coefficients(base.s, base.phase, base._spline)[:, idx]
+    t = q - s[idx]
+    got = fp.symbols._spline_eval(tab, q)
+    assert got.shape == q.shape
+    assert np.array_equal(got, y + t * (c1 + t * (c2 + t * c3)))
 
 
 @seed(11)
