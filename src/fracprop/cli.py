@@ -11,6 +11,7 @@ Exit codes: 0 success; 1 verification failure; 2 usage/malformed input;
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,7 +195,10 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The ``fracprop`` argument parser, built once per process; parsing
+    leaves it unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="fracprop",
         description="Band-limited spectral multiplier operators: evolve, identify, verify, classify.",

@@ -21,11 +21,15 @@ _SQRT_TWO_PI = np.sqrt(TWO_PI)
 # membership does not depend on the rounding of dxi.
 _EDGE_SLACK = 1e-12
 
+# Band bins a grid keeps, one entry per band parameter R, oldest dropped
+# first.  One verify run uses at most two R values per grid.
+_BAND_CACHE_SIZE = 4
+
 
 class SpatialGrid:
     """Periodic sampling grid and its dual frequency grid."""
 
-    __slots__ = ("n", "x_max", "dx", "dxi", "x", "xi", "_parity")
+    __slots__ = ("n", "x_max", "dx", "dxi", "x", "xi", "_parity", "_scale", "_bands")
 
     def __init__(self, n, x_max):
         n = int(n)
@@ -42,11 +46,38 @@ class SpatialGrid:
         k = np.concatenate([np.arange(0, n // 2), np.arange(-n // 2, 0)])
         xi = self.dxi * k
         parity = np.where(k % 2 == 0, 1.0, -1.0)  # exp(i*xi_k*x_max) = (-1)^k
-        for arr in (x, xi, parity):
+        # the forward transform's one scaling pass; a sign flip is exact, so
+        # this rounds as the parity pass followed by the scalar pass would
+        scale = parity * (self.dx / _SQRT_TWO_PI)
+        for arr in (x, xi, parity, scale):
             arr.setflags(write=False)
         self.x = x
         self.xi = xi
         self._parity = parity
+        self._scale = scale
+        self._bands = {}
+
+    def _band_bins(self, R):
+        """``(mask, idx, radius)`` of the bins with 1/R <= |xi| <= R, DC
+        excluded: the boolean mask, its indices in FFT order and |xi| there.
+
+        Read-only and computed once per R; the grid keeps the last
+        ``_BAND_CACHE_SIZE`` values of R.
+        """
+        bins = self._bands.get(R)
+        if bins is None:
+            r = np.abs(self.xi)
+            lo = (1.0 / R) * (1.0 - _EDGE_SLACK)
+            hi = R * (1.0 + _EDGE_SLACK)
+            mask = (r >= lo) & (r <= hi) & (self.xi != 0.0)
+            idx = np.flatnonzero(mask)
+            bins = (mask, idx, r[idx])
+            for arr in bins:
+                arr.setflags(write=False)
+            if len(self._bands) >= _BAND_CACHE_SIZE:
+                del self._bands[next(iter(self._bands))]
+            self._bands[R] = bins
+        return bins
 
     @property
     def xi_max(self):
@@ -75,7 +106,7 @@ def _as_complex_values(values, n):
     if vals.shape != (n,):
         raise InvalidInputError(f"expected {n} samples, got shape {vals.shape}")
     # one pass: a complex value is finite only if both of its parts are
-    if not np.isfinite(vals).all():
+    if not np.isfinite(vals.view(float)).all():
         raise InvalidInputError("samples contain non-finite values")
     vals.setflags(write=False)
     return vals
@@ -165,16 +196,17 @@ def forward_transform(f):
     """
     g = f.grid
     out = np.fft.fft(f.values)
-    out *= g._parity
-    out *= g.dx / _SQRT_TWO_PI
+    out *= g._scale
     return _fresh(Spectrum, g, out)
 
 
 def inverse_transform(F):
     """Inverse of :func:`forward_transform`; exact to round-off."""
     g = F.grid
-    out = np.fft.ifft(F.values * g._parity)
-    out *= g.n * g.dxi / _SQRT_TWO_PI
+    # unscaled, so one pass applies 1/n and the unitary factor together;
+    # n is a power of two, so this rounds as the two passes would
+    out = np.fft.ifft(F.values * g._parity, norm="forward")
+    out *= g.dxi / _SQRT_TWO_PI
     return _fresh(SampledSignal, g, out)
 
 
@@ -188,18 +220,17 @@ def inner_product(f, g):
 
 
 def band_mask(grid, band):
-    """Boolean mask of bins inside the band (DC always excluded)."""
-    r = np.abs(grid.xi)
-    lo = (1.0 / band.R) * (1.0 - _EDGE_SLACK)
-    hi = band.R * (1.0 + _EDGE_SLACK)
-    return (r >= lo) & (r <= hi) & (grid.xi != 0.0)
+    """Boolean mask of bins inside the band (DC always excluded); a read-only
+    array the grid shares between calls."""
+    return grid._band_bins(band.R)[0]
 
 
 def band_project(F, band):
     """Zero all bins outside R**-1 <= |xi| <= R.  Idempotent, norm non-increasing."""
     band.validate_for(F.grid)
-    keep = band_mask(F.grid, band)
-    out = np.where(keep, F.values, 0.0)
+    idx = F.grid._band_bins(band.R)[1]
+    out = np.zeros(F.grid.n, dtype=complex)
+    out[idx] = F.values[idx]
     return _fresh(Spectrum, F.grid, out)
 
 
@@ -222,15 +253,15 @@ def random_band_signal(band, grid, seed, stream=0):
     imaginary parts, in FFT bin order; every other bin is exactly 0.
     """
     band.validate_for(grid)
-    keep = band_mask(grid, band)
-    k = np.count_nonzero(keep)
+    idx = grid._band_bins(band.R)[1]
+    k = idx.size
     if k == 0:
         raise BandConfigError("band contains no frequency bins")
     rng = probe_rng(seed, stream)
     z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     z /= np.linalg.norm(z) * np.sqrt(grid.dxi)
     vals = np.zeros(grid.n, dtype=complex)
-    vals[keep] = z
+    vals[idx] = z
     return _fresh(Spectrum, grid, vals)
 
 

@@ -41,9 +41,9 @@ def _apply_spectrum(spec, F, band):
     already hold it share one forward transform."""
     g = F.grid
     band.validate_for(g)
-    keep = band_mask(g, band)
+    _, idx, radius = g._band_bins(band.R)
     out = np.zeros(g.n, dtype=complex)
-    out[keep] = evaluate(spec, g.xi[keep]) * F.values[keep]
+    out[idx] = evaluate(spec, radius) * F.values[idx]
     return inverse_transform(_fresh(Spectrum, g, out))
 
 

@@ -91,7 +91,7 @@ def _log_radii(r):
 class Tabulated:
     """Radial profile on a strictly increasing, log-uniform radius grid."""
 
-    __slots__ = ("r", "values", "s", "phase", "_spline", "_coef", "_nodes", "_resolved")
+    __slots__ = ("r", "values", "s", "phase", "_coef", "_nodes", "_resolved")
 
     def __init__(self, r, values):
         r = np.asarray(r, dtype=float)
@@ -104,13 +104,11 @@ class Tabulated:
             raise InvalidInputError("profile values must have unit modulus within 1e-12")
         raw = np.angle(values)
         phase = np.unwrap(raw)
-        spline = _not_a_knot_spline(s, phase)
-        coef = _cubic_coefficients(s, phase, spline)
-        for arr in (values, phase, spline, coef):
+        coef = _cubic_coefficients(s, phase, _not_a_knot_spline(s, phase))
+        for arr in (values, phase, coef):
             arr.setflags(write=False)
         self.values = values
         self.phase = phase
-        self._spline = spline
         self._coef = coef
         self._set_grid(r, s, _resolved_nodes(_wrapped_steps(raw)))
 
@@ -124,15 +122,13 @@ class Tabulated:
 
     def _dilated(self, lam):
         """This profile on the radii ``r / lam``.  Only the grid is new: a
-        shift in log-radius leaves the phase, its resolved nodes, the
-        spline's second derivatives and its interval polynomials in
-        log-radius as they are."""
+        shift in log-radius leaves the phase, its resolved nodes and the
+        spline's interval polynomials in log-radius as they are."""
         with np.errstate(over="ignore"):  # _log_radii refuses radii that overflow
             r = self.r / lam
         out = object.__new__(Tabulated)
         out.values = self.values
         out.phase = self.phase
-        out._spline = self._spline
         out._coef = self._coef
         out._set_grid(r, _log_radii(r), self._nodes)
         return out

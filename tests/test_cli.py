@@ -1,6 +1,10 @@
 """CLI surface: flags, exit codes, JSON determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,31 @@ def test_render_json_17_digits():
     assert s == '{"v": 0.30000000000000004, "i": 3, "b": false, "x": null, "l": [1.5]}'
     with pytest.raises(ValueError):
         cli.render_json({"v": float("nan")})
+
+
+def test_main_in_one_process_matches_separate_processes(tmp_path, capsys, monkeypatch):
+    # main reuses one parser for every call; each subcommand and a usage
+    # error must print and exit as they do in a process of their own
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    make_signal_file(tmp_path / "in.csv")
+    make_symbol_file(tmp_path / "sym.csv", 0.5, 1.5, np.exp(-6.0), np.exp(6.0))
+    (tmp_path / "terms.json").write_text(json.dumps([{"alpha": 2, "beta": 1},
+                                                     {"alpha": 2, "beta": -1}]))
+    argvs = [
+        ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "8",
+         "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "out.csv")],
+        ["identify", "--symbol", str(tmp_path / "sym.csv"), "--a", "4", "--b", "9",
+         "--tol", "1e-8"],
+        ["verify", "--alpha", "2", "--beta", "1", "--seed", "7", "--fast"],
+        ["classify", "--terms", str(tmp_path / "terms.json")],
+        ["verify", "--alpha", "2"],  # --beta missing: a usage error
+    ]
+    shared = [run_cli(capsys, argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, (code, out, err) in zip(argvs, shared):
+        alone = subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2]

@@ -197,6 +197,60 @@ def test_band_projection_is_orthogonal_projection():
         assert abs(fp.inner_product(pf, h) - fp.inner_product(f, ph)) <= 1e-12 * f.norm() * h.norm()
 
 
+@seed(17)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 16), st.sampled_from([1.0, 8.0, 20.0, 128.0, 20.0 * np.pi, 1e4]),
+       st.integers(-60, 60), st.integers(0, 2**31 - 1))
+def test_transforms_equal_the_two_pass_formulas(log2_n, x_max, exponent, key):
+    # one scaling pass per transform rounds exactly as the written-out passes:
+    # the sign flip is exact, and n is a power of two
+    n = 2**log2_n
+    g = fp.SpatialGrid(n, x_max)
+    rng = np.random.default_rng(key)
+    vals = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0**exponent
+    k = np.concatenate([np.arange(0, n // 2), np.arange(-n // 2, 0)])
+    parity = np.where(k % 2 == 0, 1.0, -1.0)
+
+    forward = np.fft.fft(vals)
+    forward *= parity
+    forward *= g.dx / np.sqrt(2.0 * np.pi)
+    assert np.array_equal(fp.forward_transform(fp.SampledSignal(g, vals)).values, forward)
+
+    inverse = np.fft.ifft(vals * parity)
+    inverse *= g.n * g.dxi / np.sqrt(2.0 * np.pi)
+    assert np.array_equal(fp.inverse_transform(fp.Spectrum(g, vals)).values, inverse)
+
+
+def test_band_bins_cached_read_only_and_exact_at_the_edges():
+    g = fp.SpatialGrid(64, 2.0 * np.pi)  # dxi = 0.5 exactly: |xi| = 0.5*|k|
+    assert g.dxi == 0.5
+    band = fp.BandSpec(2.0)  # both edges sit on bins: |k| = 1 and |k| = 4
+    mask, idx, radius = g._band_bins(band.R)
+    k = np.rint(g.xi / g.dxi).astype(int)
+    np.testing.assert_array_equal(mask, (np.abs(k) >= 1) & (np.abs(k) <= 4))
+    np.testing.assert_array_equal(idx, np.flatnonzero(mask))
+    np.testing.assert_array_equal(radius, 0.5 * np.abs(k[idx]))
+    for arr in (mask, idx, radius):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert band_mask(g, band) is mask  # shared, not recomputed
+
+
+def test_band_bin_cache_stays_bounded():
+    g = fp.SpatialGrid(4096, 128.0)
+    r = np.abs(g.xi)
+
+    def fresh(R):
+        return (r >= (1.0 / R) * (1.0 - 1e-12)) & (r <= R * (1.0 + 1e-12)) & (g.xi != 0.0)
+
+    for R in np.linspace(1.5, 20.0, 50):
+        np.testing.assert_array_equal(band_mask(g, fp.BandSpec(R)), fresh(R))
+        assert len(g._bands) <= fp.grids._BAND_CACHE_SIZE
+    assert 1.5 not in g._bands  # the oldest R values were dropped
+    np.testing.assert_array_equal(band_mask(g, fp.BandSpec(1.5)), fresh(1.5))
+
+
 def test_band_unresolvable():
     g = fp.SpatialGrid(64, 8.0)  # dxi ~ 0.39, xi_max ~ 12.6
     with pytest.raises(BandConfigError):
