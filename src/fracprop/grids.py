@@ -100,8 +100,12 @@ class SpatialGrid:
 
 def _as_complex_values(values, n):
     vals = np.asarray(values, dtype=complex)
-    # an owned read-only array cannot change under the wrapper; copy the rest
-    if vals.flags.writeable or vals.base is not None:
+    # converting a list or a non-complex array allocates a new array that
+    # nothing else holds, and an owned read-only array cannot change under
+    # the wrapper; copy the rest, which the caller could still write through
+    converted = (vals is not values and vals.base is None
+                 and isinstance(values, (np.ndarray, list, tuple)))
+    if not converted and (vals.flags.writeable or vals.base is not None):
         vals = vals.copy()
     if vals.shape != (n,):
         raise InvalidInputError(f"expected {n} samples, got shape {vals.shape}")

@@ -1,5 +1,6 @@
 """Apply multiplier operators to signals: evolution, translation, rescaling,
-conjugation by dilation, and randomized operator-distance probing.
+conjugation by dilation, and operator-distance probing: random band probes
+plus an exact spike on the band bin where the two symbols differ most.
 
 Everything acts through the frequency side.  Translation and symbol
 application are exact per-bin operations; signal dilation needs band-limited
@@ -20,13 +21,12 @@ from .grids import (
     Spectrum,
     _SQRT_TWO_PI,
     _fresh,
-    band_mask,
     band_project,
     forward_transform,
     inverse_transform,
     random_band_signal,
 )
-from .symbols import _brackets, _log_scan, _polished_max, _zoom_max, evaluate
+from .symbols import evaluate
 
 
 def apply(spec, f, band):
@@ -163,57 +163,27 @@ def _probe_ratio(m1, m2, probe_spectrum, band):
     return float(num / sig.norm())
 
 
-def _target_radii(m1, m2, scan, sup, r_star, limit=8):
-    """Radii worth concentrating a probe on.
-
-    An oscillatory mismatch attains its sup at many radii with very different
-    local slopes, and a narrow bump reads the mismatch best where it varies
-    slowest, so the near-sup local maxima of the band's ``scan`` (from
-    ``symbols._log_scan``) are ranked by flatness and the candidates are
-    polished together, one bracket zoom over all of them.
-    """
-    s, _, d = scan
-    peaked = np.zeros(d.size, dtype=bool)
-    peaked[1:-1] = (d[1:-1] >= d[:-2]) & (d[1:-1] >= d[2:])
-    peaked[0] = d[0] >= d[1]
-    peaked[-1] = d[-1] >= d[-2]
-    # the scan undershoots a true crossing by up to (slope*ds)^2/4, so the
-    # near-sup cut must be loose relative to the scan resolution
-    idx = np.where(peaked & (d >= sup - 1e-3))[0]
-    if idx.size > limit:
-        curvature = np.abs(
-            d[np.clip(idx + 1, 0, d.size - 1)]
-            - 2.0 * d[idx]
-            + d[np.clip(idx - 1, 0, d.size - 1)]
-        )
-        idx = idx[np.argsort(curvature)][:limit]
-    s_best, _ = _zoom_max(m1, m2, *_brackets(s, idx))
-    return np.unique(np.append(np.exp(s_best), r_star))
-
-
 def probe_operator_distance(m1, m2, band, grid, trials, seed):
-    """Randomized lower estimate of the operator distance on the band.
+    """Lower estimate of the operator distance on the band: the largest
+    ``|| (T1 - T2) p || / || p ||`` over the ``trials`` random unit band
+    probes and one exact spike.
 
-    Random unit-norm band probes never exceed the exact symbol sup distance
-    (beyond round-off); targeted probes, Gaussian bumps about three bins wide
-    centered where the symbol mismatch peaks, concentrate spectrally and close
-    the gap to within the grid's discretization slack.
+    Both operators are multipliers, so every band bin is an eigenvector of
+    each, and no probe reads more than the largest bin mismatch
+    ``max_k |m1(xi_k) - m2(xi_k)|``.  The spike, unit mass on that worst bin,
+    reads it to round-off, so the estimate never exceeds the symbol sup
+    distance (beyond round-off) and falls short of it only by the mismatch's
+    variation within half a bin.  The random probes exercise the operators on
+    generic signals.
     """
     trials = int(trials)
     if trials < 1:
         raise DomainError("need at least one probe trial")
     band.validate_for(grid)
-    scan = _log_scan(m1, m2, band, 4096)
-    sup, r_star = _polished_max(m1, m2, *scan)
-
     probes = [random_band_signal(band, grid, seed, stream=i) for i in range(trials)]
-    sigma = 0.75 * grid.dxi
-    keep = band_mask(grid, band)
-    for center in _target_radii(m1, m2, scan, sup, r_star):
-        bump = np.exp(-0.5 * ((grid.xi - center) / sigma) ** 2)
-        bump = np.where(keep, bump, 0.0)
-        nrm = np.linalg.norm(bump) * np.sqrt(grid.dxi)
-        if nrm > 0:
-            probes.append(_fresh(Spectrum, grid, bump.astype(complex) / nrm))
-
+    _, idx, radius = grid._band_bins(band.R)
+    worst = idx[np.argmax(np.abs(evaluate(m1, radius) - evaluate(m2, radius)))]
+    spike = np.zeros(grid.n, dtype=complex)
+    spike[worst] = 1.0 / np.sqrt(grid.dxi)
+    probes.append(_fresh(Spectrum, grid, spike))
     return max(_probe_ratio(m1, m2, p, band) for p in probes)

@@ -411,7 +411,7 @@ def _zoom(dist, lo, hi, tol=1e-10):
     bracket j, to the distances there.  Each round calls it once and narrows
     each bracket to the neighbours of its argmax; it stops when every bracket
     is within ``tol``, so all k brackets share every round.  Returns the
-    log-radius and the value of each bracket's maximum.
+    value of each bracket's maximum.
     """
     rows = np.arange(np.size(lo))
     while True:
@@ -421,12 +421,7 @@ def _zoom(dist, lo, hi, tol=1e-10):
         lo = s[rows, np.maximum(i - 1, 0)]
         hi = s[rows, np.minimum(i + 1, _ZOOM_POINTS - 1)]
         if np.all(hi - lo <= tol):
-            return s[rows, i], d[rows, i]
-
-
-def _zoom_max(m1, m2, lo, hi):
-    """:func:`_zoom` of ``|m1 - m2|``: both symbols are evaluated once a round."""
-    return _zoom(lambda r: np.abs(evaluate(m1, r) - evaluate(m2, r)), lo, hi)
+            return d[rows, i]
 
 
 def _band_log_grid(band, samples):
@@ -436,28 +431,9 @@ def _band_log_grid(band, samples):
     return s, np.exp(s)
 
 
-def _log_scan(m1, m2, band, samples):
-    """``(s, r, d)``: ``d = |m1(r) - m2(r)|`` on the :func:`_band_log_grid`."""
-    s, r = _band_log_grid(band, samples)
-    return s, r, np.abs(evaluate(m1, r) - evaluate(m2, r))
-
-
 def _brackets(s, i):
     """Log-radius brackets of the scan points ``i``: their two neighbours."""
     return s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, s.size - 1)]
-
-
-def _polished_max(m1, m2, s, r, d):
-    """Value and radius of the maximum of a :func:`_log_scan`, zoomed in on."""
-    i = int(np.argmax(d))
-    s_best, polished = _zoom_max(m1, m2, *_brackets(s, np.array([i])))
-    if polished[0] >= d[i]:
-        return float(polished[0]), float(np.exp(s_best[0]))
-    return float(d[i]), float(r[i])
-
-
-def _sup_distance_with_argmax(m1, m2, band, samples):
-    return _polished_max(m1, m2, *_log_scan(m1, m2, band, samples))
 
 
 def _checked_samples(samples):
@@ -479,8 +455,15 @@ def band_sup_distance(m1, m2, band, samples=4096):
     samples = _checked_samples(samples)
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
         return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
-    value, _ = _sup_distance_with_argmax(m1, m2, band, samples)
-    return value
+
+    def dist(r):
+        return np.abs(evaluate(m1, r) - evaluate(m2, r))
+
+    s, r = _band_log_grid(band, samples)
+    d = dist(r)
+    i = int(np.argmax(d))
+    polished = _zoom(dist, *_brackets(s, np.array([i])))
+    return max(float(polished[0]), float(d[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +515,8 @@ def _dilation_sup_distances(spec, lams, band, samples):
         d = np.abs(evaluate(spec, lam * r) - base)
         at[j] = np.argmax(d)
         peak[j] = d[at[j]]
-    _, polished = _zoom(lambda rr: np.abs(evaluate(spec, lams[:, None] * rr) - evaluate(spec, rr)),
-                        *_brackets(s, at))
+    polished = _zoom(lambda rr: np.abs(evaluate(spec, lams[:, None] * rr) - evaluate(spec, rr)),
+                     *_brackets(s, at))
     return np.maximum(polished, peak)
 
 

@@ -70,7 +70,7 @@ def run_verification(alpha, beta, seed, fast=False):
             np.linalg.norm(back.values - f.values) * np.sqrt(grid.dx) / nf,
         )
         evolved = _apply_spectrum(spec, Ff, band)
-        ref = inverse_transform(band_project(Ff, band)).norm()
+        ref = band_project(Ff, band).norm()  # = its inverse's norm, by Plancherel
         worst_unitarity = max(worst_unitarity, abs(evolved.norm() - ref) / ref)
     checks.append(_check("plancherel", worst_plancherel, 1e-12 * scale))
     checks.append(_check("transform_roundtrip", worst_roundtrip, 1e-12 * scale))
@@ -142,9 +142,10 @@ def run_verification(alpha, beta, seed, fast=False):
     # Operator distance: probes versus the exact symbol sup distance.  The
     # comparison member is chosen so the phase mismatch sweeps through exactly
     # a half turn at the middle of the band: the sup (= 2) is then attained in
-    # the interior, where the targeted probe loses only second order in the
-    # bin spacing.  The grid refines with |alpha| because the mismatch slope
-    # at the maximum grows with it.
+    # the interior, where the probe's spike on the worst band bin loses only
+    # second order in the distance from that bin to the maximum, at most half
+    # a bin.  The grid refines with |alpha| because the mismatch slope at the
+    # maximum grows with it.
     if group.is_trivial:
         m1 = member(group, 2.0)
         dist_grid = SpatialGrid(n, 320.0)

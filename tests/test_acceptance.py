@@ -126,8 +126,8 @@ def test_acceptance_3_order_doubling(packet_grid, wide_band):
 
 def test_acceptance_4_operator_distance_identity():
     """For (2,4) vs (2,1) on R = 2 the exact operator distance is 2 (dense-grid
-    oracle); random probes stay below it, the targeted probe reaches it within
-    1e-3 at n = 4096; under 5 s."""
+    oracle); random probes stay below it, the spike on the worst band bin
+    reaches it within 1e-3 at n = 4096; under 5 s."""
     t0 = time.perf_counter()
     m1, m2 = fp.ClosedForm(2.0, 4.0), fp.ClosedForm(2.0, 1.0)
     band = fp.BandSpec(2.0)

@@ -1,6 +1,8 @@
 """Spectral core: grids, transform pair, inner products, band projection,
 probes, and the signal file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -331,6 +333,23 @@ def test_constructors_share_only_frozen_owned_arrays():
     wrapped = fp.SampledSignal(g, view)
     base[0] = 5.0
     assert wrapped.values[0] == 1.0
+
+
+def test_constructors_copy_converted_samples_once():
+    # converting real samples already makes an array nothing else holds, so
+    # the wrapper keeps it: about one complex array at the peak, not two
+    g = fp.SpatialGrid(65536, 128.0)
+    complex_bytes = 16 * g.n
+    for data in (np.ones(g.n), [1.0] * g.n):
+        tracemalloc.start()
+        try:
+            f = fp.SampledSignal(g, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * complex_bytes, peak
+        assert not f.values.flags.writeable
+        np.testing.assert_array_equal(f.values, np.ones(g.n))
 
 
 def test_transform_results_are_read_only():
