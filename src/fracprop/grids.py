@@ -10,6 +10,8 @@ the last ulp.  Transforms use the unitary normalization ``(2*pi)**-0.5``; a
 forward/inverse round trip is exact to round-off and discrete Plancherel holds.
 """
 
+import io
+
 import numpy as np
 
 from .errors import BandConfigError, GridMismatchError, InvalidInputError
@@ -295,19 +297,39 @@ def save_signal_csv(path, f):
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_csv_table(path, header, kind):
-    """Rows of a three-column numeric CSV file under a fixed header line.
+def _file_bytes(path, kind):
+    """The bytes of the file at ``path``; a file that cannot be read (a
+    directory, a missing file, no permission) raises
+    :class:`InvalidInputError`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from exc
 
-    Blank and whitespace-only lines are skipped and spaces around fields are
-    allowed; anything else that is not ``>= 8`` rows of exactly three numbers
-    (comment lines included) raises :class:`InvalidInputError`.  Shared by the
-    signal and the symbol file formats.
+
+def _read_csv_table(raw, header, kind):
+    """Rows of a three-column numeric CSV file, given as its bytes ``raw``,
+    under a fixed header line.
+
+    The bytes are decoded as ``open(path, encoding="utf-8")`` reads the file,
+    universal newlines included.  Blank and whitespace-only lines are skipped
+    and spaces around fields are allowed; bytes that are not UTF-8, and
+    anything else that is not ``>= 8`` rows of exactly three numbers (comment
+    lines included), raise :class:`InvalidInputError`, which the CLI reports
+    with exit 2.  Shared by the signal and the symbol file formats.
+    :func:`fracprop.symbols.load_symbol_csv` holds the one profile it built
+    last, about 0.6 MB at 4096 rows, and returns that same read-only profile
+    without calling this parser for a file with the same bytes.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise InvalidInputError(f"bad {kind} header {first!r}, expected {header!r}")
-        rows = [line for line in fh if line.strip()]
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if first != header:
+                raise InvalidInputError(f"bad {kind} header {first!r}, expected {header!r}")
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{kind} file is not UTF-8: {exc}") from exc
     # counted before parsing, so numpy never sees (and warns about) an empty body
     if len(rows) < 8:
         raise InvalidInputError(f"{kind} file must have >= 8 rows of {header}")
@@ -325,8 +347,11 @@ def load_signal_csv(path):
 
     Rejects non-uniform spacing (1e-9 relative), unordered x, windows that are
     not symmetric about 0, and sample counts that are not a power of two.
+    Every call reads and parses the file: unlike profiles, signals are not
+    kept.  A file that cannot be read or is not UTF-8 raises
+    :class:`InvalidInputError`.
     """
-    data = _read_csv_table(path, "x,re,im", "signal")
+    data = _read_csv_table(_file_bytes(path, "signal"), "x,re,im", "signal")
     x = data[:, 0]
     dx = np.diff(x)
     if np.any(dx <= 0):

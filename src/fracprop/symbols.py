@@ -16,7 +16,7 @@ unimodular up to the rounding of ``exp``.
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SymbolRangeError, UnwrapResolutionError
-from .grids import _read_csv_table
+from .grids import _file_bytes, _read_csv_table
 
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
@@ -567,15 +567,38 @@ def save_symbol_csv(path, tab):
         fh.write("\n".join(lines) + "\n")
 
 
+# The last profile load_symbol_csv built, as (file bytes, profile), or None.
+# Keyed by the bytes, not the file's stat: a same-size rewrite within one
+# clock tick leaves (mtime, size) as it was.
+_last_profile = None
+
+
 def load_symbol_csv(path):
     """Load a tabulated profile; rejects non-log-uniform grids and off-circle
-    values (|value| - 1 beyond 1e-9), renormalizing the rest onto the circle."""
-    data = _read_csv_table(path, "r,re,im", "symbol")
+    values (|value| - 1 beyond 1e-9), renormalizing the rest onto the circle.
+
+    A file with the same bytes as the last profile loaded returns that same
+    read-only profile without parsing it again, so one process that loads a
+    file and then runs ``fracprop identify`` on it parses it once.  Only that
+    one profile is kept, about 0.6 MB at 4096 rows; loading another file
+    frees it first.  A file that cannot be read, is not UTF-8 or is
+    malformed raises :class:`InvalidInputError` (exit 2 in the CLI) and is
+    not kept.
+    """
+    global _last_profile
+    raw = _file_bytes(path, "symbol")
+    last = _last_profile
+    if last is not None and last[0] == raw:
+        return last[1]
+    _last_profile = last = None  # never hold the old and the new profile at once
+    data = _read_csv_table(raw, "r,re,im", "symbol")
     vals = data[:, 1] + 1j * data[:, 2]
     mod = np.abs(vals)
     if np.max(np.abs(mod - 1.0)) > 1e-9:
         raise InvalidInputError("symbol values deviate from unit modulus by more than 1e-9")
-    return Tabulated(data[:, 0], vals / mod)
+    tab = Tabulated(data[:, 0], vals / mod)
+    _last_profile = (raw, tab)
+    return tab
 
 
 # ---------------------------------------------------------------------------

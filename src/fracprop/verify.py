@@ -165,7 +165,7 @@ def run_verification(alpha, beta, seed, fast=False):
                          detail=f"sup={sup:.17g} probe={probed:.17g}"))
     checks.append(_check("operator_distance_lower", max(sup - probed, 0.0),
                          lower_tol,
-                         detail="targeted probe concentration gap"))
+                         detail="worst-bin spike gap"))
 
     return {
         "schema": 1,

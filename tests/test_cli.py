@@ -11,6 +11,7 @@ import pytest
 
 import fracprop as fp
 import fracprop.semistability as semistability
+import fracprop.symbols as symbols
 from fracprop import cli
 
 
@@ -193,6 +194,61 @@ def test_identify_cli_coarse_profile_exit_4(tmp_path, capsys):
     ])
     assert code == 4 and out == ""
     assert "too coarsely" in err
+
+
+def test_identify_after_loading_the_same_file_parses_it_once(tmp_path, capsys, monkeypatch):
+    # a caller that loads a profile and then runs identify on the same file
+    reads = []
+    real = symbols._read_csv_table
+
+    def counted(raw, header, kind):
+        reads.append(kind)
+        return real(raw, header, kind)
+
+    monkeypatch.setattr(symbols, "_read_csv_table", counted)
+    monkeypatch.setattr(symbols, "_last_profile", None)
+    sym = tmp_path / "sym.csv"
+    make_symbol_file(sym, 0.5, 1.5, np.exp(-6.0), np.exp(6.0))
+    argv = ["identify", "--symbol", str(sym), "--a", "4", "--b", "9", "--tol", "1e-8"]
+    fp.load_symbol_csv(sym)
+    hit = run_cli(capsys, argv)
+    assert reads == ["symbol"]
+    make_symbol_file(tmp_path / "other.csv", 0.5, 1.5, np.exp(-5.0), np.exp(5.0))
+    fp.load_symbol_csv(tmp_path / "other.csv")
+    parsed = run_cli(capsys, argv)
+    assert len(reads) == 3
+    assert hit == parsed and hit[0] == 0
+
+
+def _not_utf8_file(tmp_path, header):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header.encode("utf-8") + b"\n" + b"0,1,0\n" * 8 + b"caf\xe9\n")
+    return path
+
+
+def _directory(tmp_path, header):
+    path = tmp_path / "a_directory"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_not_utf8_file, _directory])
+@pytest.mark.parametrize("command, header", [("identify", "r,re,im"), ("evolve", "x,re,im")])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, make_input, command, header):
+    path = str(make_input(tmp_path, header))
+    out = tmp_path / "never.csv"
+    argv = {"identify": ["identify", "--symbol", path, "--a", "4", "--b", "9"],
+            "evolve": ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "8",
+                       "--input", path, "--output", str(out)]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_cli_pass_and_determinism(capsys):
