@@ -66,7 +66,6 @@ from .identification import (
     PhaseTrace,
     branch_integers,
     identify,
-    mollified_affine_fit,
     unwrap_phase,
 )
 from .exponents import PhaseTerm, ProductVerdict, classify_product, sample_oracle

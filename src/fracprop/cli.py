@@ -28,7 +28,7 @@ from .errors import (
     SymbolRangeError,
     UnwrapResolutionError,
 )
-from .grids import BandSpec, load_signal_csv, save_signal_csv
+from .grids import BandSpec, _file_bytes, load_signal_csv, save_signal_csv
 from .identification import identify
 from .operators import apply
 from .semistability import SemistablePair
@@ -92,12 +92,10 @@ def cmd_evolve(args):
         symbol = ClosedForm(args.alpha, args.beta * args.t)
     except InvalidInputError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}", EXIT_USAGE)
     try:
         signal = load_signal_csv(args.input)
     except InvalidInputError as exc:
-        return _fail(f"malformed signal file: {exc}", EXIT_USAGE)
+        return _fail(str(exc), EXIT_USAGE)
     if args.grid_n is not None and args.grid_n != signal.grid.n:
         return _fail(
             f"--grid-n {args.grid_n} does not match the {signal.grid.n}-point input",
@@ -136,8 +134,6 @@ def cmd_evolve(args):
 
 
 def cmd_identify(args):
-    if not os.path.exists(args.symbol):
-        return _fail(f"symbol file not found: {args.symbol}", EXIT_USAGE)
     try:
         profile = load_symbol_csv(args.symbol)
         pair = SemistablePair(args.a, args.b)
@@ -176,10 +172,12 @@ def cmd_classify(args):
     if args.terms == "-":
         raw = sys.stdin.read()
     else:
-        if not os.path.exists(args.terms):
-            return _fail(f"terms file not found: {args.terms}", EXIT_USAGE)
-        with open(args.terms, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            raw = _file_bytes(args.terms, "terms").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return _fail(f"terms file is not UTF-8: {exc}", EXIT_USAGE)
+        except InvalidInputError as exc:
+            return _fail(str(exc), EXIT_USAGE)
     try:
         entries = json.loads(raw)
         terms = [PhaseTerm(e["alpha"], e["beta"]) for e in entries]

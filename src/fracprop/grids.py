@@ -225,12 +225,6 @@ def inner_product(f, g):
     return complex(np.vdot(g.values, f.values) * f.grid.dx)
 
 
-def band_mask(grid, band):
-    """Boolean mask of bins inside the band (DC always excluded); a read-only
-    array the grid shares between calls."""
-    return grid._band_bins(band.R)[0]
-
-
 def band_project(F, band):
     """Zero all bins outside R**-1 <= |xi| <= R.  Idempotent, norm non-increasing."""
     band.validate_for(F.grid)
@@ -304,6 +298,8 @@ def _file_bytes(path, kind):
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"{kind} file not found: {path}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from exc
 

@@ -5,8 +5,12 @@ Pipeline: lift the sampled values to a continuous phase trace in log-radius,
 extract the constant branch integers of the doubling/tripling relations
 (which must satisfy N = 2M), shift the trace into the branch-free
 representative ``phi1 = phi + 2*pi*M`` (sign-definite for a genuine power
-law), and fit ``log|phi1|`` affinely in log-radius after a small moving
-average.  The slope is alpha and the intercept gives |beta|.
+law) whose sign is beta's, and fit the phase increments.  For
+``beta*r**alpha`` on a log grid of step h the increment after node s_j is
+``beta*e**(alpha*s_j)*expm1(alpha*h)``, so ``log|increment|`` is exactly
+affine in s_j (the one-exponential case of Prony's method): a
+``|increment|``-weighted least-squares line has slope alpha, and its
+intercept minus ``log|expm1(alpha*h)|`` is ``log|beta|``.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from .errors import (
 from .symbols import Tabulated, _check_radii, _resolved_nodes, _wrapped_steps
 
 TWO_PI = 2.0 * np.pi
+JUMP_SLACK = 0.05  # wrapped steps within this of pi cannot pin the branch
 
 
 class PhaseTrace:
@@ -45,13 +50,13 @@ class PhaseTrace:
         return f"PhaseTrace(n={self.s.size}, base_index={self.base_index})"
 
 
-def unwrap_phase(s, values, base_value=None, base_index=0, jump_slack=0.05):
+def unwrap_phase(s, values, base_value=None, base_index=0):
     """Lift unit-modulus samples to a continuous real phase.
 
     The branch is pinned at ``base_index``: the phase there is the principal
     argument moved into ``(base_value - pi, base_value + pi]`` (principal value
     itself when ``base_value`` is None).  Rejects adjacent samples whose
-    wrapped increment comes within ``jump_slack`` of pi, naming the offending
+    wrapped increment comes within ``JUMP_SLACK`` of pi, naming the offending
     index: such data cannot be unwrapped reliably at this resolution.  Also
     rejects data whose true phase step grows past pi: the wrapped steps show
     that only as a change of nearly 2*pi from one step to the next (see
@@ -72,7 +77,7 @@ def unwrap_phase(s, values, base_value=None, base_index=0, jump_slack=0.05):
 
     raw = np.angle(values)
     wrapped = _wrapped_steps(raw)
-    bad = np.where(np.abs(wrapped) >= np.pi - jump_slack)[0]
+    bad = np.where(np.abs(wrapped) >= np.pi - JUMP_SLACK)[0]
     if bad.size:
         i = int(bad[0])
         raise UnwrapResolutionError(
@@ -144,34 +149,6 @@ def branch_integers(trace, pair, min_points=100, tol=0.01):
     return m, n
 
 
-def mollified_affine_fit(s, psi, delta):
-    """Moving-average smoothing (half-width delta) followed by a least-squares
-    affine fit; returns (slope, intercept, max residual of the smoothed data)."""
-    s = np.asarray(s, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if s.ndim != 1 or s.shape != psi.shape:
-        raise InvalidInputError("s and psi must be matching 1-d arrays")
-    if s.size < 16:
-        raise InsufficientDataError(f"need >= 16 samples, got {s.size}")
-    ds = float(np.mean(np.diff(s)))
-    delta = float(delta)
-    if delta < ds * (1.0 - 1e-9):
-        raise InvalidInputError(f"delta = {delta:.3g} is below the grid spacing {ds:.3g}")
-    half = int(np.floor(delta / ds + 1e-9))
-    usable = s.size - 2 * half
-    if usable < 16:
-        raise InsufficientDataError(
-            f"only {max(usable, 0)} windows of half-width {half} fit; need >= 16"
-        )
-    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
-    smooth = np.convolve(psi, kernel, mode="valid")
-    centers = s[half:s.size - half]
-    design = np.column_stack([centers, np.ones_like(centers)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, smooth, rcond=None)
-    residual = float(np.max(np.abs(smooth - (slope * centers + intercept))))
-    return float(slope), float(intercept), residual
-
-
 class IdentificationResult:
     """Recovered parameters plus the diagnostics of the run."""
 
@@ -214,8 +191,7 @@ class IdentificationResult:
         )
 
 
-def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01,
-             mollifier_widths=8):
+def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01):
     """Recover (alpha, beta) from a tabulated profile known to satisfy the
     scaling relations for ``pair``.
 
@@ -245,11 +221,22 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01,
         )
     sign = 1.0 if lo > 0 else -1.0
 
-    psi = np.log(np.abs(phi1))
-    ds = float(np.mean(np.diff(profile.s)))
-    alpha, gamma, fit_residual = mollified_affine_fit(
-        profile.s, psi, delta=mollifier_widths * ds
-    )
+    # |phase step j| = |beta| * e^(alpha*s_j) * |expm1(alpha*h)|: a line in s_j
+    mag = np.abs(np.diff(trace.phi))
+    keep = mag > 1e-6 * mag.max()
+    if np.count_nonzero(keep) < 2:
+        raise InconsistentPairError(
+            "the lifted phase is flat (fewer than two steps above 1e-6 of the "
+            "largest), so its exponent is 0 and no scaling pair doubles it"
+        )
+    s, w = trace.s[:-1][keep], mag[keep]
+    psi = np.log(w)
+    s_bar, psi_bar = np.dot(w, s) / w.sum(), np.dot(w, psi) / w.sum()
+    alpha = float(np.dot(w * (s - s_bar), psi) / np.dot(w * (s - s_bar), s - s_bar))
+    intercept = psi_bar - alpha * s_bar
+    fit_residual = float(np.max(np.abs(psi - (alpha * s + intercept))))
+    h = (trace.s[-1] - trace.s[0]) / (trace.s.size - 1)
+    gamma = float(intercept - np.log(abs(np.expm1(alpha * h))))
     beta = sign * np.exp(gamma)
 
     pr_a = abs(pair.a**alpha - 2.0)

@@ -520,7 +520,7 @@ def _dilation_sup_distances(spec, lams, band, samples):
     return np.maximum(polished, peak)
 
 
-def continuity_modulus(spec, band, eps_grid, luc_threshold=None, samples=4096):
+def continuity_modulus(spec, band, eps_grid, samples=4096):
     """omega(eps) = sup over |log lam| <= eps of the band sup distance between
     the rescaled and original symbol, sampled at the grid epsilons.
 
@@ -547,10 +547,9 @@ def continuity_modulus(spec, band, eps_grid, luc_threshold=None, samples=4096):
     per_eps = np.zeros(eps.size)
     per_eps[eps.size - positive.size:] = dist.reshape(-1, 2).max(axis=1)
     omega = np.maximum.accumulate(per_eps)
-    if luc_threshold is None:
-        slope = _phase_slope_bound(spec, band, float(eps[-1]), samples)
-        smallest = positive[0] if positive.size else 0.0
-        luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
+    slope = _phase_slope_bound(spec, band, float(eps[-1]), samples)
+    smallest = positive[0] if positive.size else 0.0
+    luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
     return ContinuityReport(eps, omega, omega[0] <= luc_threshold, luc_threshold)
 
 

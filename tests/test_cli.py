@@ -138,6 +138,21 @@ def test_identify_cli_round_trip(tmp_path, capsys):
     assert report["is_identity"] is False
 
 
+def test_identify_cli_negative_exponent_at_default_tolerance(tmp_path, capsys):
+    # |phase| spans 7 decades on this window; the increment fit reproduces the
+    # profile well inside the default tol of 1e-9
+    sym = tmp_path / "sym.csv"
+    make_symbol_file(sym, -1.5, -0.1, np.exp(-5.1), np.exp(5.1))
+    code, stdout, err = run_cli(capsys, [
+        "identify", "--symbol", str(sym), "--a", "0.6299605249474366",
+        "--b", "0.4807498567691362",
+    ])
+    assert code == 0, err
+    report = json.loads(stdout)
+    assert report["alpha"] == pytest.approx(-1.5, rel=1e-12)
+    assert report["beta"] == pytest.approx(-0.1, rel=1e-12)
+
+
 def test_identify_cli_constant_symbol(tmp_path, capsys):
     sym = tmp_path / "ones.csv"
     r = np.exp(np.linspace(-3, 3, 512))
@@ -232,14 +247,20 @@ def _directory(tmp_path, header):
     return path
 
 
+def _argv(command, path, out):
+    return {"identify": ["identify", "--symbol", path, "--a", "4", "--b", "9"],
+            "evolve": ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "8",
+                       "--input", path, "--output", str(out)],
+            "classify": ["classify", "--terms", path]}[command]
+
+
 @pytest.mark.parametrize("make_input", [_not_utf8_file, _directory])
-@pytest.mark.parametrize("command, header", [("identify", "r,re,im"), ("evolve", "x,re,im")])
+@pytest.mark.parametrize("command, header", [("identify", "r,re,im"), ("evolve", "x,re,im"),
+                                             ("classify", "terms")])
 def test_unreadable_input_file_is_a_usage_error(tmp_path, make_input, command, header):
     path = str(make_input(tmp_path, header))
     out = tmp_path / "never.csv"
-    argv = {"identify": ["identify", "--symbol", path, "--a", "4", "--b", "9"],
-            "evolve": ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "8",
-                       "--input", path, "--output", str(out)]}[command]
+    argv = _argv(command, path, out)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
@@ -248,6 +269,18 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, make_input, command, h
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", [("identify", "symbol"), ("evolve", "signal"),
+                                           ("classify", "terms")])
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys, command, kind):
+    # the loader reports the missing file; there is no separate existence check
+    path = str(tmp_path / "absent")
+    out = tmp_path / "never.csv"
+    code, stdout, err = run_cli(capsys, _argv(command, path, out))
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err == f"error: {kind} file not found: {path}\n"
     assert not out.exists()
 
 

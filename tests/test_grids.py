@@ -14,7 +14,7 @@ from fracprop.errors import (
     GridMismatchError,
     InvalidInputError,
 )
-from fracprop.grids import band_mask, probe_rng
+from fracprop.grids import probe_rng
 
 
 def test_grid_duality_exact():
@@ -236,7 +236,7 @@ def test_band_bins_cached_read_only_and_exact_at_the_edges():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert band_mask(g, band) is mask  # shared, not recomputed
+    assert g._band_bins(band.R)[0] is mask  # shared, not recomputed
 
 
 def test_band_bin_cache_stays_bounded():
@@ -247,10 +247,10 @@ def test_band_bin_cache_stays_bounded():
         return (r >= (1.0 / R) * (1.0 - 1e-12)) & (r <= R * (1.0 + 1e-12)) & (g.xi != 0.0)
 
     for R in np.linspace(1.5, 20.0, 50):
-        np.testing.assert_array_equal(band_mask(g, fp.BandSpec(R)), fresh(R))
+        np.testing.assert_array_equal(g._band_bins(R)[0], fresh(R))
         assert len(g._bands) <= fp.grids._BAND_CACHE_SIZE
     assert 1.5 not in g._bands  # the oldest R values were dropped
-    np.testing.assert_array_equal(band_mask(g, fp.BandSpec(1.5)), fresh(1.5))
+    np.testing.assert_array_equal(g._band_bins(1.5)[0], fresh(1.5))
 
 
 def test_band_unresolvable():
@@ -280,7 +280,7 @@ def test_random_band_signal_draws_only_band_bins():
     # and the next k the imaginary parts of the k band bins, in FFT order
     g = fp.SpatialGrid(256, 20.0)
     band = fp.BandSpec(6.0)
-    keep = band_mask(g, band)
+    keep = g._band_bins(band.R)[0]
     k = int(keep.sum())
     for seed, stream in [(42, 0), (7, 3), (2**40 + 1, 10_001)]:
         F = fp.random_band_signal(band, g, seed, stream)

@@ -1,4 +1,4 @@
-"""Parameter recovery: phase lifting, branch integers, affine fit, pipeline."""
+"""Parameter recovery: phase lifting, branch integers, increment fit, pipeline."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import fracprop as fp
 from fracprop.errors import (
     BranchInconsistencyError,
     DegenerateSymbolError,
+    InconsistentPairError,
     InsufficientDataError,
     ModelMismatchError,
     UnwrapResolutionError,
@@ -140,42 +141,6 @@ def test_branch_integers_needs_overlap():
         fp.branch_integers(trace, fp.SemistablePair(4.0, 9.0))  # ln 9 > window
 
 
-# ------------------------------------------------------------------ affine fit
-
-def test_affine_fit_exact_line():
-    s = log_s(-3.0, 3.0, 1024)
-    alpha, gamma, res = fp.mollified_affine_fit(s, 2.0 * s + 0.3, delta=8 * (s[1] - s[0]))
-    assert alpha == pytest.approx(2.0, abs=1e-13)
-    assert gamma == pytest.approx(0.3, abs=1e-13)
-    assert res <= 1e-14
-
-
-def test_affine_fit_constant():
-    s = log_s(0.0, 5.0, 256)
-    alpha, gamma, res = fp.mollified_affine_fit(s, np.full(256, 5.0), delta=3 * (s[1] - s[0]))
-    assert alpha == pytest.approx(0.0, abs=1e-14)
-    assert gamma == pytest.approx(5.0, abs=1e-13)
-
-
-def test_affine_fit_noisy_against_lstsq_oracle():
-    rng = np.random.default_rng(8)
-    s = log_s(-3.0, 3.0, 2048)
-    psi = 2.0 * s + 0.3 + rng.uniform(-1e-8, 1e-8, size=s.size)
-    alpha, gamma, _ = fp.mollified_affine_fit(s, psi, delta=8 * (s[1] - s[0]))
-    assert alpha == pytest.approx(2.0, abs=1e-6)
-    assert gamma == pytest.approx(0.3, abs=1e-6)
-    # independent oracle: plain least squares on the raw noisy samples
-    slope_o, inter_o = np.polyfit(s, psi, 1)
-    assert alpha == pytest.approx(slope_o, abs=1e-7)
-    assert gamma == pytest.approx(inter_o, abs=1e-7)
-
-
-def test_affine_fit_insufficient_windows():
-    s = log_s(0.0, 1.0, 20)
-    with pytest.raises(InsufficientDataError):
-        fp.mollified_affine_fit(s, s, delta=5 * (s[1] - s[0]))
-
-
 # -------------------------------------------------------------------- identify
 
 def test_identify_round_trip_example():
@@ -227,9 +192,9 @@ def test_identify_round_trip_grid():
                     prof = fp.tabulate(
                         fp.ClosedForm(alpha, beta), np.exp(-L), np.exp(L), 4096
                     )
-                    res = fp.identify(prof, fp.canonical_pair(alpha), tol=1e-6)
-                    assert abs(res.alpha - alpha) <= 1e-6 * abs(alpha)
-                    assert abs(res.beta - beta) <= 1e-6 * abs(beta)
+                    res = fp.identify(prof, fp.canonical_pair(alpha))
+                    assert abs(res.alpha - alpha) <= 1e-11 * abs(alpha)
+                    assert abs(res.beta - beta) <= 1e-11 * abs(beta)
                     assert res.N == 2 * res.M
                     assert max(res.pair_residuals) <= 1e-9
                     combos += 1
@@ -238,7 +203,7 @@ def test_identify_round_trip_grid():
 
 def test_identify_branch_robustness():
     # shifting the unwrap base by one full turn moves M by -1 and leaves the
-    # branch-free phase (hence alpha, beta) unchanged
+    # branch-free phase and the phase increments, which the fit reads, unchanged
     prof = fp.tabulate(fp.ClosedForm(1.0, 7.0), np.exp(-3.0), np.exp(3.0), 4096)
     base_index = int(np.argmin(np.abs(prof.s)))
     pair = fp.SemistablePair(2.0, 3.0)
@@ -247,16 +212,17 @@ def test_identify_branch_robustness():
     for turns in (0.0, TWO_PI):
         base = np.angle(prof.values[base_index]) + turns
         trace = fp.unwrap_phase(prof.s, prof.values, base_value=base, base_index=base_index)
-        m, n = fp.branch_integers(trace, pair)
-        phi1 = trace.phi + TWO_PI * m
-        assert np.all(phi1 > 0)
-        ds = prof.s[1] - prof.s[0]
-        alpha, gamma, _ = fp.mollified_affine_fit(prof.s, np.log(phi1), delta=8 * ds)
-        results.append((alpha, np.exp(gamma), m))
-    (a0, b0, m0), (a1, b1, m1) = results
+        m, _ = fp.branch_integers(trace, pair)
+        results.append((m, trace.phi + TWO_PI * m, np.diff(trace.phi)))
+    (m0, phi0, steps0), (m1, phi1, steps1) = results
     assert m1 == m0 - 1
-    assert abs(a1 - a0) <= 1e-9
-    assert abs(b1 - b0) <= 1e-9
+    assert np.all(phi0 > 0)
+    np.testing.assert_allclose(phi1, phi0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(steps1, steps0, rtol=0, atol=1e-12)
+    res = fp.identify(prof, pair)
+    assert res.M == m0
+    assert res.alpha == pytest.approx(1.0, rel=1e-13)
+    assert res.beta == pytest.approx(7.0, rel=1e-13)
 
 
 def test_identify_window_not_containing_unit_radius():
@@ -300,6 +266,15 @@ def test_identify_model_mismatch():
     with pytest.raises(ModelMismatchError):
         fp.identify(prof, fp.SemistablePair(2.0, 3.0), tol=1e-9,
                     branch_tol=10.0, pair_tol=1.0)
+
+
+def test_identify_flat_phase_is_an_inconsistent_pair():
+    # a constant phase other than 0 has exponent 0, and a**0 = 1 never doubles
+    r = np.exp(np.linspace(-3.0, 3.0, 512))
+    prof = fp.Tabulated(r, np.full(512, np.exp(0.01j)))
+    with pytest.raises(InconsistentPairError) as err:
+        fp.identify(prof, fp.SemistablePair(2.0, 3.0))
+    assert "flat" in str(err.value)
 
 
 def test_identify_requires_tabulated():
