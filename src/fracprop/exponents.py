@@ -11,6 +11,7 @@ a nonzero exponent cancels and the zero-exponent group sums to a multiple of
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
+from .symbols import CHECK_RADII
 
 TWO_PI = 2.0 * np.pi
 _SUM_TOL = 1e-12          # relative to sum of |beta|
@@ -80,11 +81,10 @@ def _group_by_exponent(terms, alpha_tol):
 
 
 def _find_witness(terms):
-    r = np.exp(np.linspace(-3.0, 3.0, 4096))
-    dev = np.abs(product_values(terms, r) - 1.0)
+    dev = np.abs(product_values(terms, CHECK_RADII) - 1.0)
     above = np.where(dev >= _WITNESS_FLOOR)[0]
     idx = int(above[0]) if above.size else int(np.argmax(dev))
-    return float(r[idx])
+    return float(CHECK_RADII[idx])
 
 
 def classify_product(terms, alpha_tol=0.0):

@@ -27,6 +27,9 @@ _EDGE_SLACK = 1e-12
 # first.  One verify run uses at most two R values per grid.
 _BAND_CACHE_SIZE = 4
 
+# Bands and rescaled supports reach at most xi_max*(1 - BAND_MARGIN).
+BAND_MARGIN = 0.125
+
 
 class SpatialGrid:
     """Periodic sampling grid and its dual frequency grid."""
@@ -170,15 +173,16 @@ class BandSpec:
             raise BandConfigError(f"band parameter must satisfy R > 1, got {R}")
         self.R = R
 
-    def validate_for(self, grid, margin=0.125):
-        """Check the band is resolvable on ``grid``; raise BandConfigError if not."""
+    def validate_for(self, grid):
+        """Check the band is resolvable on ``grid``: ``1/R >= dxi`` and
+        ``R <= xi_max*(1 - BAND_MARGIN)``; raise BandConfigError if not."""
         r_lo = 1.0 / self.R
         if r_lo < grid.dxi:
             raise BandConfigError(
                 f"inner band edge 1/R = {r_lo:.6g} is below the frequency "
                 f"resolution dxi = {grid.dxi:.6g}"
             )
-        limit = grid.xi_max * (1.0 - margin)
+        limit = grid.xi_max * (1.0 - BAND_MARGIN)
         if self.R > limit:
             raise BandConfigError(
                 f"outer band edge R = {self.R:.6g} exceeds "
@@ -284,11 +288,7 @@ def gaussian_packet(grid, center=0.0, spectral_width=1.0, carrier=0.0):
 # Signal file format: CSV with header "x,re,im", uniform strictly increasing x.
 
 def save_signal_csv(path, f):
-    lines = ["x,re,im"]
-    for x, v in zip(f.grid.x, f.values):
-        lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv_table(path, "x,re,im", f.grid.x, f.values)
 
 
 def _file_bytes(path, kind):
@@ -302,6 +302,16 @@ def _file_bytes(path, kind):
         raise InvalidInputError(f"{kind} file not found: {path}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from exc
+
+
+def _write_csv_table(path, header, column, values):
+    """Write ``header`` and a ``column,re,im`` row per sample, at 17
+    significant digits so every float reads back exactly."""
+    lines = [header]
+    for c, v in zip(column, values):
+        lines.append(f"{c:.17g},{v.real:.17g},{v.imag:.17g}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_csv_table(raw, header, kind):

@@ -67,24 +67,20 @@ def check_group_law(group, t1, t2, f, band):
     return float(num / nf)
 
 
-def check_scaling(group, t, r_lo=None, r_hi=None):
-    """Sup distance between the time-t symbol and the time-1 symbol rescaled
-    by t**(1/alpha); both equal exp(i*beta*t*r**alpha) analytically."""
+def check_scaling(group, t):
+    """Sup distance over the check window [e^-3, e^3] between the time-t
+    symbol and the time-1 symbol rescaled by t**(1/alpha); both equal
+    exp(i*beta*t*r**alpha) analytically."""
     if group.alpha == 0.0:
         raise DomainError("scaling identity needs a nonzero order")
     t = float(t)
     if t <= 0:
         raise DomainError(f"scaling identity is stated for t > 0, got {t}")
-    if r_lo is None:
-        r_lo = float(np.exp(-3.0))
-    if r_hi is None:
-        r_hi = float(np.exp(3.0))
     direct = member(group, t)
     rescaled = dilate(member(group, 1.0),
                       _float_power(t, 1.0 / group.alpha, "rescaling factor t**(1/alpha)"))
     scale = max(abs(direct.beta), abs(rescaled.beta), 1.0)
-    return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, r_lo, r_hi,
-                              coef=direct.beta)
+    return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, coef=direct.beta)
 
 
 class SlopeFit(NamedTuple):

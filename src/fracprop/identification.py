@@ -28,6 +28,8 @@ from .symbols import Tabulated, _check_radii, _resolved_nodes, _wrapped_steps
 
 TWO_PI = 2.0 * np.pi
 JUMP_SLACK = 0.05  # wrapped steps within this of pi cannot pin the branch
+BRANCH_TOL = 0.01  # branch offsets farther than this from an integer refuse the pair
+BRANCH_MIN_POINTS = 100  # radii that must support both scale shifts
 
 
 class PhaseTrace:
@@ -50,12 +52,11 @@ class PhaseTrace:
         return f"PhaseTrace(n={self.s.size}, base_index={self.base_index})"
 
 
-def unwrap_phase(s, values, base_value=None, base_index=0):
+def unwrap_phase(s, values, base_index=0):
     """Lift unit-modulus samples to a continuous real phase.
 
     The branch is pinned at ``base_index``: the phase there is the principal
-    argument moved into ``(base_value - pi, base_value + pi]`` (principal value
-    itself when ``base_value`` is None).  Rejects adjacent samples whose
+    argument of that sample, to round-off.  Rejects adjacent samples whose
     wrapped increment comes within ``JUMP_SLACK`` of pi, naming the offending
     index: such data cannot be unwrapped reliably at this resolution.  Also
     rejects data whose true phase step grows past pi: the wrapped steps show
@@ -96,10 +97,7 @@ def unwrap_phase(s, values, base_value=None, base_index=0):
     np.cumsum(wrapped, out=phi[1:])
     phi[1:] += raw[0]
 
-    anchor = raw[base_index]
-    if base_value is not None:
-        anchor = anchor + TWO_PI * np.round((float(base_value) - anchor) / TWO_PI)
-    phi += anchor - phi[base_index]
+    phi += raw[base_index] - phi[base_index]
     return PhaseTrace(s, phi, base_index)
 
 
@@ -110,13 +108,13 @@ def _interp_phase(trace, s_query):
     return np.interp(s_query, trace.s, trace.phi)
 
 
-def _constant_branch(trace, s_pts, log_shift, factor, tol):
+def _constant_branch(trace, s_pts, log_shift, factor):
     q = (_interp_phase(trace, s_pts + log_shift) - factor * _interp_phase(trace, s_pts)) / TWO_PI
     rounded = np.round(q)
     dev = float(np.max(np.abs(q - rounded)))
-    if dev > tol:
+    if dev > BRANCH_TOL:
         raise BranchInconsistencyError(
-            f"branch offsets deviate from integers by {dev:.3g} (> {tol:.3g}); "
+            f"branch offsets deviate from integers by {dev:.3g} (> {BRANCH_TOL:.3g}); "
             f"the scaling pair is inconsistent with the profile"
         )
     if rounded.max() != rounded.min():
@@ -127,20 +125,22 @@ def _constant_branch(trace, s_pts, log_shift, factor, tol):
     return int(rounded[0])
 
 
-def branch_integers(trace, pair, min_points=100, tol=0.01):
+def branch_integers(trace, pair):
     """Constant integers (M, N) with phi(a*r) = 2*phi(r) + 2*pi*M and
-    phi(b*r) = 3*phi(r) + 2*pi*N; enforces N = 2M."""
+    phi(b*r) = 3*phi(r) + 2*pi*N, read on the ``BRANCH_MIN_POINTS`` or more
+    radii whose shifts stay in the trace, each within ``BRANCH_TOL`` of the
+    same integer; enforces N = 2M."""
     ln_a = np.log(pair.a)
     ln_b = np.log(pair.b)
     lo = trace.s[0] + max(0.0, -ln_a, -ln_b)
     hi = trace.s[-1] - max(0.0, ln_a, ln_b)
     pts = trace.s[(trace.s >= lo) & (trace.s <= hi)]
-    if pts.size < min_points:
+    if pts.size < BRANCH_MIN_POINTS:
         raise InsufficientDataError(
-            f"only {pts.size} radii support both scale shifts; need >= {min_points}"
+            f"only {pts.size} radii support both scale shifts; need >= {BRANCH_MIN_POINTS}"
         )
-    m = _constant_branch(trace, pts, ln_a, 2.0, tol)
-    n = _constant_branch(trace, pts, ln_b, 3.0, tol)
+    m = _constant_branch(trace, pts, ln_a, 2.0)
+    n = _constant_branch(trace, pts, ln_b, 3.0)
     if n != 2 * m:
         raise BranchInconsistencyError(
             f"branch integers violate N = 2M (got M={m}, N={n}): the profile is "
@@ -191,15 +191,16 @@ class IdentificationResult:
         )
 
 
-def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01):
+def identify(profile, pair, tol=1e-9, pair_tol=1e-6):
     """Recover (alpha, beta) from a tabulated profile known to satisfy the
     scaling relations for ``pair``.
 
     ``tol`` is both the identity threshold on sup|m - 1| and the final
     reconstruction tolerance; ``pair_tol`` bounds |a**alpha - 2| and
     |b**alpha - 3| for the recovered exponent.  Raises typed errors for the
-    failure modes: branch trouble (wrong pair), sign changes of the lifted
-    phase (no power law), and reconstruction mismatch.
+    failure modes: branch trouble (wrong pair, offsets beyond ``BRANCH_TOL``),
+    sign changes of the lifted phase (no power law), and reconstruction
+    mismatch.
     """
     if not isinstance(profile, Tabulated):
         raise InvalidInputError("identification needs a tabulated radial profile")
@@ -210,7 +211,7 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6, branch_tol=0.01):
     _check_radii(profile, profile.r)
     base_index = int(np.argmin(np.abs(profile.s)))
     trace = unwrap_phase(profile.s, profile.values, base_index=base_index)
-    m, n = branch_integers(trace, pair, tol=branch_tol)
+    m, n = branch_integers(trace, pair)
 
     phi1 = trace.phi + TWO_PI * m
     lo, hi = float(phi1.min()), float(phi1.max())

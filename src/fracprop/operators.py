@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, SymbolRangeError
 from .grids import (
+    BAND_MARGIN,
     BandSpec,
     SampledSignal,
     Spectrum,
@@ -113,7 +114,7 @@ def dilate_signal(f, lam):
     a = abs(lam)
     out_hi = r_max / a
     out_lo = r_min / a
-    limit = g.xi_max * (1.0 - 0.125)
+    limit = g.xi_max * (1.0 - BAND_MARGIN)
     if out_hi > limit:
         raise SymbolRangeError(
             f"rescaled support violates r_max/|lam| <= xi_max*(1-margin): "

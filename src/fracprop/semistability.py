@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, SymbolRangeError
 from .symbols import (
+    CHECK_RADII,
     ClosedForm,
     SymbolProduct,
     Tabulated,
@@ -86,19 +87,12 @@ class SemistabilityReport:
         )
 
 
-def default_radius_grid(num=4096):
-    """Log grid on [e^-3, e^3]: wide enough that an exponent mismatch of 1e-3
-    yields a residual >= 1e-2 for |beta| >= 0.1."""
-    return np.exp(np.linspace(-3.0, 3.0, int(num)))
-
-
-def _closed_form_residual(spec, lam, target, r_lo, r_hi, exact):
+def _closed_form_residual(spec, lam, target, exact):
     # m(lam*r) / m(r)**target = exp(i*beta*(lam**alpha - target)*r**alpha)
     if exact:
         return 0.0
     power = _float_power(lam, spec.alpha, "scaling power lam**alpha")
-    return _snapped_chord_sup(power - target, target, spec.alpha, r_lo, r_hi,
-                              gain=spec.beta, coef=spec.beta)
+    return _snapped_chord_sup(power - target, target, spec.alpha, gain=spec.beta, coef=spec.beta)
 
 
 def _sampled_residual(spec, lam, target, r_grid):
@@ -106,12 +100,13 @@ def _sampled_residual(spec, lam, target, r_grid):
     return float(np.max(np.abs(evaluate(spec, lam * r_grid) - target)))
 
 
-def _effective_grid(spec, pair, r_grid):
+def _effective_grid(spec, pair):
+    """The check radii r where r, a*r and b*r all lie in a tabulated range."""
     if not isinstance(spec, Tabulated):
-        return r_grid
+        return CHECK_RADII
     lo = spec.r_min / min(1.0, pair.a, pair.b)
     hi = spec.r_max / max(1.0, pair.a, pair.b)
-    kept = r_grid[(r_grid >= lo) & (r_grid <= hi)]
+    kept = CHECK_RADII[(CHECK_RADII >= lo) & (CHECK_RADII <= hi)]
     if kept.size < 16:
         raise SymbolRangeError(
             f"tabulated range [{spec.r_min:.4g}, {spec.r_max:.4g}] too small to "
@@ -120,29 +115,23 @@ def _effective_grid(spec, pair, r_grid):
     return kept
 
 
-def check_semistable(spec, pair, r_grid=None, tol=1e-12):
-    """Residuals of m(a*r) = m(r)^2 and m(b*r) = m(r)^3 over the radius grid.
+def check_semistable(spec, pair, tol=1e-12):
+    """Residuals of m(a*r) = m(r)^2 and m(b*r) = m(r)^3 over the check window
+    [e^-3, e^3] (``symbols.CHECK_RADII``, 4096 log-uniform radii).
 
     Closed-form symbols are checked through the algebraically reduced phase
-    difference, which is exact over the whole radius interval; tabulated and
-    product symbols are checked pointwise (and for tabulated input the grid is
-    clipped to the radii where all three of r, a*r, b*r are in range, recorded
-    in the report).
+    difference, which is exact over the whole window; tabulated and product
+    symbols are checked pointwise on its radii (and for tabulated input the
+    radii are clipped to those where all three of r, a*r, b*r are in range,
+    recorded in the report).
     """
-    if r_grid is None:
-        r_grid = default_radius_grid()
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size < 2 or np.any(r_grid <= 0):
-        raise InvalidInputError("radius grid must be positive with >= 2 points")
-
     if isinstance(spec, ClosedForm):
         exact = pair._alpha is not None and pair._alpha == spec.alpha
-        r_lo, r_hi = float(r_grid[0]), float(r_grid[-1])
-        res2 = _closed_form_residual(spec, pair.a, 2.0, r_lo, r_hi, exact)
-        res3 = _closed_form_residual(spec, pair.b, 3.0, r_lo, r_hi, exact)
-        eff = r_grid
+        res2 = _closed_form_residual(spec, pair.a, 2.0, exact)
+        res3 = _closed_form_residual(spec, pair.b, 3.0, exact)
+        eff = CHECK_RADII
     elif isinstance(spec, (Tabulated, SymbolProduct)):
-        eff = _effective_grid(spec, pair, r_grid)
+        eff = _effective_grid(spec, pair)
         base = evaluate(spec, eff)  # m(r), shared by both relations
         res2 = _sampled_residual(spec, pair.a, base**2, eff)
         res3 = _sampled_residual(spec, pair.b, base**3, eff)
@@ -156,22 +145,20 @@ def check_semistable(spec, pair, r_grid=None, tol=1e-12):
                                (eff[0], eff[-1]))
 
 
-def order_doubling_residual(spec, r_lo=None, r_hi=None):
-    """Sup distance between the squared symbol and the symbol rescaled by
-    2**(1/alpha), computed through the actual dilate/combine code paths."""
+def order_doubling_residual(spec):
+    """Sup distance over the check window [e^-3, e^3] between the squared
+    symbol and the symbol rescaled by 2**(1/alpha), computed through the
+    actual dilate/combine code paths."""
     if not isinstance(spec, ClosedForm):
         raise InvalidInputError("order check is defined for closed-form symbols")
     if spec.alpha == 0.0:
         if spec.beta == 0.0:
             return 0.0
         raise DomainError("exponent 0 with nonzero coefficient has no order")
-    if r_lo is None or r_hi is None:
-        grid = default_radius_grid()
-        r_lo, r_hi = float(grid[0]), float(grid[-1])
     squared = combine([(spec, 2)])
     rescaled = dilate(spec, _float_power(2.0, 1.0 / spec.alpha, "order 2**(1/alpha)"))
     return _snapped_chord_sup(squared.beta - rescaled.beta, max(abs(squared.beta), 1.0),
-                              spec.alpha, r_lo, r_hi, coef=spec.beta)
+                              spec.alpha, coef=spec.beta)
 
 
 def check_order(spec, tol=1e-12):

@@ -16,10 +16,19 @@ unimodular up to the rounding of ``exp``.
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, SymbolRangeError, UnwrapResolutionError
-from .grids import _file_bytes, _read_csv_table
+from .grids import _file_bytes, _read_csv_table, _write_csv_table
 
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
+
+# Points of every dense radius scan: the band scans and the check window.
+_SCAN_POINTS = 4096
+
+# The window [e^-3, e^3] of the scaling, order and rescaling checks and the
+# exponent-product witness: an exponent mismatch of 1e-3 yields a residual
+# >= 1e-2 there for |beta| >= 0.1.  Closed-form checks read only its ends.
+CHECK_RADII = np.exp(np.linspace(-3.0, 3.0, _SCAN_POINTS))
+CHECK_RADII.setflags(write=False)
 
 
 def _wrapped_steps(raw):
@@ -404,13 +413,13 @@ def tabulate(spec, r_min, r_max, num=4096):
 _ZOOM_POINTS = 65
 
 
-def _zoom(dist, lo, hi, tol=1e-10):
+def _zoom(dist, lo, hi):
     """Maximize ``dist`` over the log-radius brackets ``[lo[j], hi[j]]``.
 
     ``dist`` maps a ``(k, _ZOOM_POINTS)`` array of radii, row j spanning
     bracket j, to the distances there.  Each round calls it once and narrows
     each bracket to the neighbours of its argmax; it stops when every bracket
-    is within ``tol``, so all k brackets share every round.  Returns the
+    is within 1e-10, so all k brackets share every round.  Returns the
     value of each bracket's maximum.
     """
     rows = np.arange(np.size(lo))
@@ -420,14 +429,14 @@ def _zoom(dist, lo, hi, tol=1e-10):
         i = np.argmax(d, axis=-1)
         lo = s[rows, np.maximum(i - 1, 0)]
         hi = s[rows, np.minimum(i + 1, _ZOOM_POINTS - 1)]
-        if np.all(hi - lo <= tol):
+        if np.all(hi - lo <= 1e-10):
             return d[rows, i]
 
 
-def _band_log_grid(band, samples):
-    """``(s, r)``: ``samples`` radii ``r = e**s`` evenly spaced in log-radius
-    across the band."""
-    s = np.linspace(-np.log(band.R), np.log(band.R), samples)
+def _band_log_grid(band):
+    """``(s, r)``: ``_SCAN_POINTS`` radii ``r = e**s`` evenly spaced in
+    log-radius across the band."""
+    s = np.linspace(-np.log(band.R), np.log(band.R), _SCAN_POINTS)
     return s, np.exp(s)
 
 
@@ -436,30 +445,22 @@ def _brackets(s, i):
     return s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, s.size - 1)]
 
 
-def _checked_samples(samples):
-    samples = int(samples)
-    if samples < 1024:
-        raise InvalidInputError(f"need at least 1024 samples, got {samples}")
-    return samples
-
-
-def band_sup_distance(m1, m2, band, samples=4096):
+def band_sup_distance(m1, m2, band):
     """Max of |m1(r) - m2(r)| over R**-1 <= r <= R.
 
     Exact for two closed forms with one exponent: their ratio is a single
-    power-law phase, whose sup has a closed form.  Otherwise a dense log grid
-    locates the maximum and a bracket zoom refines it to ~1e-10 in the
-    log-radius.  Equals the operator norm of the difference restricted to the
-    band.
+    power-law phase, whose sup has a closed form.  Otherwise a 4096-point log
+    grid across the band locates the maximum and a bracket zoom refines it to
+    ~1e-10 in the log-radius.  Equals the operator norm of the difference
+    restricted to the band.
     """
-    samples = _checked_samples(samples)
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
         return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
 
     def dist(r):
         return np.abs(evaluate(m1, r) - evaluate(m2, r))
 
-    s, r = _band_log_grid(band, samples)
+    s, r = _band_log_grid(band)
     d = dist(r)
     i = int(np.argmax(d))
     polished = _zoom(dist, *_brackets(s, np.array([i])))
@@ -491,23 +492,23 @@ class ContinuityReport:
         )
 
 
-def _phase_slope_bound(spec, band, eps_max, samples=4096):
+def _phase_slope_bound(spec, band, eps_max):
     lo = np.log(1.0 / band.R) - eps_max
     hi = np.log(band.R) + eps_max
-    s = np.linspace(lo, hi, samples)
+    s = np.linspace(lo, hi, _SCAN_POINTS)
     ph = phase(spec, np.exp(s))
     return float(np.max(np.abs(np.diff(ph))) / (s[1] - s[0]))
 
 
-def _dilation_sup_distances(spec, lams, band, samples):
-    """``band_sup_distance(dilate(spec, lam), spec, band, samples)`` for each
-    ``lam``, read as ``|m(lam*r) - m(r)|`` on the parent's radii.
+def _dilation_sup_distances(spec, lams, band):
+    """``band_sup_distance(dilate(spec, lam), spec, band)`` for each ``lam``,
+    read as ``|m(lam*r) - m(r)|`` on the parent's radii.
 
     m(r) is evaluated once on the band scan and each m(lam*r) against it, one
     row at a time, so the scan holds one row of distances at once; one
     :func:`_zoom` then polishes the maxima of all rows together.
     """
-    s, r = _band_log_grid(band, _checked_samples(samples))
+    s, r = _band_log_grid(band)
     base = evaluate(spec, r)
     peak = np.empty(lams.size)
     at = np.empty(lams.size, dtype=np.intp)
@@ -520,19 +521,20 @@ def _dilation_sup_distances(spec, lams, band, samples):
     return np.maximum(polished, peak)
 
 
-def continuity_modulus(spec, band, eps_grid, samples=4096):
+def continuity_modulus(spec, band, eps_grid):
     """omega(eps) = sup over |log lam| <= eps of the band sup distance between
     the rescaled and original symbol, sampled at the grid epsilons.
 
     Each positive epsilon contributes lam = e**eps and e**-eps.  Closed forms
     take the exact chord sup of :func:`band_sup_distance` per lam.  Other
-    specs share one evaluation of m(r) on the band scan, evaluate m(lam*r)
+    specs share one evaluation of m(r) on the 4096-point band scan, evaluate m(lam*r)
     against it row by row and polish all 2k maxima in one joint zoom, so the
     zoom's evaluations do not grow with the number of epsilons.
 
     The flag compares omega at the smallest epsilon against a slope-based
-    threshold (clipped to [1e-6, 1]); it detects discontinuity, it does not
-    prove continuity.
+    threshold (clipped to [1e-6, 1]), the slope read on a 4096-point scan of
+    the band widened by the largest epsilon; it detects discontinuity, it
+    does not prove continuity.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     if eps.size == 0 or np.any(eps < 0):
@@ -540,14 +542,13 @@ def continuity_modulus(spec, band, eps_grid, samples=4096):
     positive = eps[eps > 0]
     lams = np.array([float(np.exp(sign * e)) for e in positive for sign in (1.0, -1.0)])
     if isinstance(spec, ClosedForm) or positive.size == 0:
-        dist = np.array([band_sup_distance(dilate(spec, lam), spec, band, samples)
-                         for lam in lams])
+        dist = np.array([band_sup_distance(dilate(spec, lam), spec, band) for lam in lams])
     else:
-        dist = _dilation_sup_distances(spec, lams, band, samples)
+        dist = _dilation_sup_distances(spec, lams, band)
     per_eps = np.zeros(eps.size)
     per_eps[eps.size - positive.size:] = dist.reshape(-1, 2).max(axis=1)
     omega = np.maximum.accumulate(per_eps)
-    slope = _phase_slope_bound(spec, band, float(eps[-1]), samples)
+    slope = _phase_slope_bound(spec, band, float(eps[-1]))
     smallest = positive[0] if positive.size else 0.0
     luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
     return ContinuityReport(eps, omega, omega[0] <= luc_threshold, luc_threshold)
@@ -559,11 +560,7 @@ def continuity_modulus(spec, band, eps_grid, samples=4096):
 def save_symbol_csv(path, tab):
     if not isinstance(tab, Tabulated):
         raise InvalidInputError("can only save tabulated profiles")
-    lines = ["r,re,im"]
-    for r, v in zip(tab.r, tab.values):
-        lines.append(f"{r:.17g},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv_table(path, "r,re,im", tab.r, tab.values)
 
 
 # The last profile load_symbol_csv built, as (file bytes, profile), or None.
@@ -616,13 +613,15 @@ _EPS = np.finfo(float).eps
 _SNAP_ULPS = 64
 
 
-def _snapped_chord_sup(diff, scale, alpha, r_lo, r_hi, gain=1.0, *, coef):
-    """``_power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)``, with a
-    difference ``diff`` of coefficients of size ``scale`` taken as zero when it
-    is within ``_SNAP_ULPS + |alpha|`` ulps of that size.  Radii whose power
+def _snapped_chord_sup(diff, scale, alpha, gain=1.0, *, coef):
+    """``_power_phase_chord_sup(gain * diff, alpha, r_lo, r_hi)`` over the
+    check window ``[r_lo, r_hi]`` = [e^-3, e^3], with a difference ``diff`` of
+    coefficients of size ``scale`` taken as zero when it is within
+    ``_SNAP_ULPS + |alpha|`` ulps of that size.  Window ends whose power
     ``r**alpha`` leaves the float range raise DomainError first, snapped or
     not, naming the phase ``coef*r**alpha`` of the symbol under test: the
     difference is rounding residue when it would have been snapped."""
+    r_lo, r_hi = float(CHECK_RADII[0]), float(CHECK_RADII[-1])
     for r in (r_lo, r_hi):
         try:
             power = float(r) ** alpha

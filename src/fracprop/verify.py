@@ -9,6 +9,7 @@ probing) surfaces as a named failing check.
 import numpy as np
 
 from .grids import (
+    BAND_MARGIN,
     BandSpec,
     SpatialGrid,
     band_project,
@@ -100,14 +101,15 @@ def run_verification(alpha, beta, seed, fast=False):
         xi_edges = (max(1.0 / band.R, carrier - 4.0 * width), carrier + 4.0 * width)
         a_abs = abs(group.alpha)
         delay = 2.0 * a_abs * abs(group.beta) * max(e ** (a_abs - 1.0) for e in xi_edges)
-        margin_ok = (band.R * lam_star <= grid.xi_max * 0.875
+        xi_limit = grid.xi_max * (1.0 - BAND_MARGIN)
+        margin_ok = (band.R * lam_star <= xi_limit
                      and 1.0 / (band.R * lam_star) >= grid.dxi)
         if not margin_ok:
             checks.append(_skip(
                 "order_doubling_signal",
                 f"rescaling by {lam_star:.4g} not representable on the "
                 f"verification grid (admissible factors end at "
-                f"{min(grid.xi_max * 0.875 / band.R, 1.0 / (band.R * grid.dxi)):.4g})",
+                f"{min(xi_limit / band.R, 1.0 / (band.R * grid.dxi)):.4g})",
             ))
         elif delay > 0.95 * grid.x_max:
             checks.append(_skip(
@@ -141,21 +143,16 @@ def run_verification(alpha, beta, seed, fast=False):
 
     # Operator distance: probes versus the exact symbol sup distance.  The
     # comparison member is chosen so the phase mismatch sweeps through exactly
-    # a half turn at the middle of the band: the sup (= 2) is then attained in
-    # the interior, where the probe's spike on the worst band bin loses only
-    # second order in the distance from that bin to the maximum, at most half
-    # a bin.  The grid refines with |alpha| because the mismatch slope at the
-    # maximum grows with it.
-    if group.is_trivial:
-        m1 = member(group, 2.0)
-        dist_grid = SpatialGrid(n, 320.0)
-        lower_tol = 1e-2 if fast else 1e-3
-    else:
-        m1 = member(group, 1.0 + np.pi / group.beta)
-        grow = min(max(1.0, 1.5 * abs(group.alpha)), 2.0 if fast else 4.0)
-        dist_grid = SpatialGrid(n, 320.0 * grow)
-        curvature = (np.pi * abs(group.alpha) * 3.0 * dist_grid.dxi) ** 2 / 4.0
-        lower_tol = max(1e-2 if fast else 1e-3, curvature)
+    # a half turn at the middle of the band: the sup (= 2) is then attained at
+    # r = 1, where the mismatch 2*|sin(pi*r**alpha/2)| falls by at most
+    # (pi*alpha*dxi)**2/16 on the worst band bin, at most half a bin away, so
+    # the spike there loses no more.  The lower tolerance is twice that plus
+    # the upper check's round-off allowance.  The grid refines with |alpha|
+    # because the mismatch slope at the maximum grows with it.
+    m1 = member(group, 2.0 if group.is_trivial else 1.0 + np.pi / group.beta)
+    grow = min(max(1.0, 1.5 * abs(group.alpha)), 2.0 if fast else 4.0)
+    dist_grid = SpatialGrid(n, 320.0 * grow)
+    lower_tol = (np.pi * abs(group.alpha) * dist_grid.dxi) ** 2 / 8.0 + 1e-12 * scale
     dist_band = BandSpec(2.0)
     sup = band_sup_distance(m1, spec, dist_band)
     probed = probe_operator_distance(m1, spec, dist_band, dist_grid,

@@ -216,3 +216,36 @@ def test_signal_loader_parses_every_call(tmp_path, table_reads):
     assert second is not first
     _same_signal(second, first)
     assert table_reads == {"symbol": 0, "signal": 2}
+
+
+def test_writers_pin_the_file_text(tmp_path):
+    # one header line, then one row per sample at 17 significant digits with
+    # "\n" line ends: the exact bytes of each file kind
+    grid = fp.SpatialGrid(8, 2.0)
+    values = [1.0, 0.5j, -0.25, 0.1 + 0.2j, 2.0, 3.0j, 1e-20, 0.0]
+    fp.save_signal_csv(tmp_path / "signal.csv", fp.SampledSignal(grid, values))
+    assert (tmp_path / "signal.csv").read_bytes() == (
+        b"x,re,im\n"
+        b"-2,1,0\n"
+        b"-1.5,0,0.5\n"
+        b"-1,-0.25,0\n"
+        b"-0.5,0.10000000000000001,0.20000000000000001\n"
+        b"0,2,0\n"
+        b"0.5,0,3\n"
+        b"1,9.9999999999999995e-21,0\n"
+        b"1.5,0,0\n"
+    )
+    r = 2.0 ** np.arange(-3, 5)
+    tab = fp.Tabulated(r, [1.0, 1j, -1.0, 0.6 + 0.8j, 0.8 - 0.6j, 1.0, 1j, -1.0])
+    fp.save_symbol_csv(tmp_path / "symbol.csv", tab)
+    assert (tmp_path / "symbol.csv").read_bytes() == (
+        b"r,re,im\n"
+        b"0.125,1,0\n"
+        b"0.25,0,1\n"
+        b"0.5,-1,0\n"
+        b"1,0.59999999999999998,0.80000000000000004\n"
+        b"2,0.80000000000000004,-0.59999999999999998\n"
+        b"4,1,0\n"
+        b"8,0,1\n"
+        b"16,-1,0\n"
+    )

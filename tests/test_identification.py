@@ -58,11 +58,15 @@ def test_unwrap_reports_offending_index():
 
 
 def test_unwrap_base_branch_selection():
-    s = np.arange(16, dtype=float)
+    # the true phase 0.2*s passes pi at s = 16; pinned at s = 20 the lift takes
+    # the principal argument there, one turn below the lift pinned at s = 0
+    s = np.arange(32, dtype=float)
     values = np.exp(1j * 0.2 * s)
-    shifted = fp.unwrap_phase(s, values, base_value=0.1 + TWO_PI)
+    pinned = fp.unwrap_phase(s, values, base_index=20)
     plain = fp.unwrap_phase(s, values)
-    np.testing.assert_allclose(shifted.phi - plain.phi, TWO_PI, atol=1e-12)
+    assert pinned.phi[20] == pytest.approx(np.angle(values[20]), abs=1e-12)
+    np.testing.assert_allclose(plain.phi, 0.2 * s, atol=1e-12)
+    np.testing.assert_allclose(pinned.phi - plain.phi, -TWO_PI, atol=1e-12)
 
 
 @seed(5)
@@ -202,16 +206,15 @@ def test_identify_round_trip_grid():
 
 
 def test_identify_branch_robustness():
-    # shifting the unwrap base by one full turn moves M by -1 and leaves the
+    # lifting the trace by one full turn moves M by -1 and leaves the
     # branch-free phase and the phase increments, which the fit reads, unchanged
     prof = fp.tabulate(fp.ClosedForm(1.0, 7.0), np.exp(-3.0), np.exp(3.0), 4096)
     base_index = int(np.argmin(np.abs(prof.s)))
     pair = fp.SemistablePair(2.0, 3.0)
 
+    plain = fp.unwrap_phase(prof.s, prof.values, base_index=base_index)
     results = []
-    for turns in (0.0, TWO_PI):
-        base = np.angle(prof.values[base_index]) + turns
-        trace = fp.unwrap_phase(prof.s, prof.values, base_value=base, base_index=base_index)
+    for trace in (plain, fp.PhaseTrace(prof.s, plain.phi + TWO_PI, base_index)):
         m, _ = fp.branch_integers(trace, pair)
         results.append((m, trace.phi + TWO_PI * m, np.diff(trace.phi)))
     (m0, phi0, steps0), (m1, phi1, steps1) = results
@@ -248,24 +251,25 @@ def test_identify_resolution_consistency():
 
 
 def test_identify_degenerate_sign_change():
-    # phi = log(r) changes sign at r = 1; on this window all branch offsets
-    # round to the constant 0, so the pipeline reaches the sign check
+    # phi = 1e-3*(r - 1) changes sign at r = 1; its branch offsets are
+    # 1e-3/(2*pi) and 2e-3/(2*pi), within the branch tolerance of the
+    # constant 0, so the pipeline reaches the sign check
     r = np.exp(np.linspace(-0.9, 1.5, 2048))
-    phi = np.log(r)
+    phi = 1e-3 * (r - 1.0)
     prof = fp.Tabulated(r, np.exp(1j * phi))
     with pytest.raises(DegenerateSymbolError):
-        fp.identify(prof, fp.SemistablePair(2.0, 3.0), branch_tol=10.0)
+        fp.identify(prof, fp.SemistablePair(2.0, 3.0))
 
 
 def test_identify_model_mismatch():
-    # sign-definite and branch-consistent, but a log-periodic ripple on top of
-    # the power law cannot be reproduced by any exp(i*beta*r^alpha)
+    # sign-definite and branch-consistent (the ripple moves the branch offsets
+    # by at most 3e-3/(2*pi)), but a log-periodic ripple on top of the power
+    # law cannot be reproduced by any exp(i*beta*r^alpha)
     r = np.exp(np.linspace(-2.0, 2.0, 2048))
-    phi = 1.0 * r + 0.05 * np.sin(np.log(r) * np.pi / 2.0)
+    phi = 1.0 * r + 1e-3 * np.sin(np.log(r) * np.pi / 2.0)
     prof = fp.Tabulated(r, np.exp(1j * phi))
     with pytest.raises(ModelMismatchError):
-        fp.identify(prof, fp.SemistablePair(2.0, 3.0), tol=1e-9,
-                    branch_tol=10.0, pair_tol=1.0)
+        fp.identify(prof, fp.SemistablePair(2.0, 3.0), tol=1e-9, pair_tol=1.0)
 
 
 def test_identify_flat_phase_is_an_inconsistent_pair():

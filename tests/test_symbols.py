@@ -417,12 +417,6 @@ def test_band_sup_distance_is_metric_on_band():
         assert d01 <= d02 + d21 + 1e-12
 
 
-def test_band_sup_distance_needs_enough_samples():
-    band = fp.BandSpec(2.0)
-    with pytest.raises(InvalidInputError):
-        fp.band_sup_distance(fp.ClosedForm(2, 1), fp.ClosedForm(2, 2), band, samples=100)
-
-
 def test_sup_distance_interior_max_oracle():
     # |exp(ir) - exp(ir^2/2)| = 2|sin((r - r^2/2)/2)|: on [1/2, 2] the phase
     # difference peaks at 1/2 at r = 1, inside the band
@@ -483,7 +477,7 @@ def test_continuity_modulus_detects_sign_flip():
     values[n // 2] = -1.0  # one-sample jump by a factor -1
     spec = fp.Tabulated(r, values)
     ds = np.log(r[1]) - np.log(r[0])
-    rep = fp.continuity_modulus(spec, fp.BandSpec(2.0), [ds, 2 * ds], samples=4096)
+    rep = fp.continuity_modulus(spec, fp.BandSpec(2.0), [ds, 2 * ds])
     assert rep.omega[0] >= 2.0 - 1e-6
     assert not rep.luc_flag
 
