@@ -7,7 +7,8 @@ Error paths exit nonzero without leaving partial output files.
 
 Exit codes: 0 success; 1 verification failure; 2 usage/malformed input;
 3 unresolvable band; 4 degenerate symbol; 5 inconsistent scaling pair;
-6 model mismatch.
+6 model mismatch.  Commands raise library errors; :func:`main` maps them to
+codes 2 to 6 through ``_EXIT_CODES``.
 """
 
 import argparse
@@ -20,7 +21,6 @@ import tempfile
 from .errors import (
     BandConfigError,
     DegenerateSymbolError,
-    DomainError,
     FracpropError,
     InconsistentPairError,
     InvalidInputError,
@@ -67,55 +67,52 @@ def render_json(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# Library errors in the order main tries them, most specific type first: an
+# error exits with the code of the first entry it is an instance of.
+_EXIT_CODES = (
+    ((BandConfigError, SymbolRangeError), EXIT_BAND),
+    ((DegenerateSymbolError, UnwrapResolutionError), EXIT_DEGENERATE),
+    (InconsistentPairError, EXIT_PAIR),
+    (ModelMismatchError, EXIT_MISMATCH),
+    (FracpropError, EXIT_USAGE),
+)
+
+
 def _fail(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
 def _write_atomic(path, writer):
-    """Write via a sibling temp file + rename so failures leave nothing behind."""
+    """Write via a sibling temp file + rename so failures leave nothing
+    behind; a path that cannot be written raises InvalidInputError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def cmd_evolve(args):
     # evolve applies the single operator exp(i*beta*t*|xi|^alpha); beta = 0 is
     # the identity on the band, so no group-level validation applies here
-    try:
-        symbol = ClosedForm(args.alpha, args.beta * args.t)
-    except InvalidInputError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        signal = load_signal_csv(args.input)
-    except InvalidInputError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    symbol = ClosedForm(args.alpha, args.beta * args.t)
+    signal = load_signal_csv(args.input)
     if args.grid_n is not None and args.grid_n != signal.grid.n:
-        return _fail(
-            f"--grid-n {args.grid_n} does not match the {signal.grid.n}-point input",
-            EXIT_USAGE,
-        )
+        raise InvalidInputError(
+            f"--grid-n {args.grid_n} does not match the {signal.grid.n}-point input")
     if args.x_max is not None and abs(args.x_max - signal.grid.x_max) > 1e-9 * signal.grid.x_max:
-        return _fail(
-            f"--x-max {args.x_max} does not match the input window {signal.grid.x_max}",
-            EXIT_USAGE,
-        )
-    try:
-        band = BandSpec(args.band)
-        band.validate_for(signal.grid)
-        evolved = apply(symbol, signal, band)
-    except BandConfigError as exc:
-        return _fail(str(exc), EXIT_BAND)
-    except SymbolRangeError as exc:
-        return _fail(str(exc), EXIT_BAND)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise InvalidInputError(
+            f"--x-max {args.x_max} does not match the input window {signal.grid.x_max}")
+    band = BandSpec(args.band)
+    evolved = apply(symbol, signal, band)
     _write_atomic(args.output, lambda tmp: save_signal_csv(tmp, evolved))
     report = {
         "schema": 1,
@@ -134,21 +131,9 @@ def cmd_evolve(args):
 
 
 def cmd_identify(args):
-    try:
-        profile = load_symbol_csv(args.symbol)
-        pair = SemistablePair(args.a, args.b)
-    except (InvalidInputError, DomainError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        result = identify(profile, pair, tol=args.tol, pair_tol=args.pair_tol)
-    except (DegenerateSymbolError, UnwrapResolutionError) as exc:
-        return _fail(str(exc), EXIT_DEGENERATE)
-    except InconsistentPairError as exc:
-        return _fail(str(exc), EXIT_PAIR)
-    except ModelMismatchError as exc:
-        return _fail(str(exc), EXIT_MISMATCH)
-    except FracpropError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    profile = load_symbol_csv(args.symbol)
+    pair = SemistablePair(args.a, args.b)
+    result = identify(profile, pair, tol=args.tol, pair_tol=args.pair_tol)
     report = {"schema": 1, "tool": "fracprop-identify"}
     report.update(result.to_dict())
     print(render_json(report))
@@ -156,10 +141,7 @@ def cmd_identify(args):
 
 
 def cmd_verify(args):
-    try:
-        report = run_verification(args.alpha, args.beta, args.seed, fast=args.fast)
-    except (DomainError, InvalidInputError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    report = run_verification(args.alpha, args.beta, args.seed, fast=args.fast)
     print(render_json(report))
     if not report["pass"]:
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
@@ -169,24 +151,16 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
-    if args.terms == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            raw = _file_bytes(args.terms, "terms").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return _fail(f"terms file is not UTF-8: {exc}", EXIT_USAGE)
-        except InvalidInputError as exc:
-            return _fail(str(exc), EXIT_USAGE)
     try:
-        entries = json.loads(raw)
-        terms = [PhaseTerm(e["alpha"], e["beta"]) for e in entries]
+        raw = (sys.stdin.read() if args.terms == "-"
+               else _file_bytes(args.terms, "terms").decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"terms file is not UTF-8: {exc}") from exc
+    try:
+        terms = [PhaseTerm(e["alpha"], e["beta"]) for e in json.loads(raw)]
     except (ValueError, TypeError, KeyError) as exc:
-        return _fail(f"malformed terms JSON: {exc}", EXIT_USAGE)
-    try:
-        verdict = classify_product(terms, alpha_tol=args.alpha_tol)
-    except (DomainError, InvalidInputError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise InvalidInputError(f"malformed terms JSON: {exc}") from exc
+    verdict = classify_product(terms, alpha_tol=args.alpha_tol)
     report = {"schema": 1, "tool": "fracprop-classify"}
     report.update(verdict.to_dict())
     print(render_json(report))
@@ -242,7 +216,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FracpropError as exc:
+        return _fail(str(exc), next(code for types, code in _EXIT_CODES
+                                    if isinstance(exc, types)))
 
 
 def main_entry():

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, InvalidInputError
 from .grids import forward_transform
-from .operators import _apply_spectrum, apply
+from .operators import _apply_spectrum, _on_band, apply
 from .symbols import ClosedForm, _float_power, _snapped_chord_sup, dilate
 
 
@@ -61,8 +61,9 @@ def check_group_law(group, t1, t2, f, band):
     if nf == 0.0:
         raise InvalidInputError("group law needs a nonzero signal")
     F = forward_transform(f)
-    lhs = _apply_spectrum(member(group, t1 + t2), F, band)
-    rhs = apply(member(group, t1), _apply_spectrum(member(group, t2), F, band), band)
+    lhs = _apply_spectrum(_on_band(member(group, t1 + t2), f.grid, band), F, band)
+    mid = _apply_spectrum(_on_band(member(group, t2), f.grid, band), F, band)
+    rhs = apply(member(group, t1), mid, band)
     num = np.linalg.norm(lhs.values - rhs.values) * np.sqrt(f.grid.dx)
     return float(num / nf)
 

@@ -34,17 +34,25 @@ def apply(spec, f, band):
     """Evolve a signal: project onto the band, multiply each surviving bin by
     the symbol value, transform back.  Unitary on the band for unimodular
     symbols (output norm equals the norm of the band-projected input)."""
-    return _apply_spectrum(spec, forward_transform(f), band)
+    F = forward_transform(f)
+    return _apply_spectrum(_on_band(spec, F.grid, band), F, band)
 
 
-def _apply_spectrum(spec, F, band):
-    """:func:`apply` on the spectrum ``F`` of the signal, so callers that
-    already hold it share one forward transform."""
+def _on_band(spec, grid, band):
+    """The symbol's values on the band bins of ``grid``, in the order of
+    ``grid._band_bins``; the band is checked to be resolvable first."""
+    band.validate_for(grid)
+    return evaluate(spec, grid._band_bins(band.R)[2])
+
+
+def _apply_spectrum(mvals, F, band):
+    """:func:`apply` on the spectrum ``F`` of the signal, given the symbol's
+    values ``mvals`` from :func:`_on_band`, so callers that already hold
+    either share it: one forward transform, or one symbol evaluation."""
     g = F.grid
-    band.validate_for(g)
-    _, idx, radius = g._band_bins(band.R)
+    idx = g._band_bins(band.R)[1]
     out = np.zeros(g.n, dtype=complex)
-    out[idx] = evaluate(spec, radius) * F.values[idx]
+    out[idx] = mvals * F.values[idx]
     return inverse_transform(_fresh(Spectrum, g, out))
 
 
@@ -156,10 +164,10 @@ def conjugated_apply(spec, lam, f, band):
     return dilate_signal(evolved, lam)
 
 
-def _probe_ratio(m1, m2, probe_spectrum, band):
+def _probe_ratio(v1, v2, probe_spectrum, band):
     sig = inverse_transform(probe_spectrum)
     F = forward_transform(sig)
-    d = _apply_spectrum(m1, F, band).values - _apply_spectrum(m2, F, band).values
+    d = _apply_spectrum(v1, F, band).values - _apply_spectrum(v2, F, band).values
     num = np.linalg.norm(d) * np.sqrt(sig.grid.dx)
     return float(num / sig.norm())
 
@@ -180,11 +188,10 @@ def probe_operator_distance(m1, m2, band, grid, trials, seed):
     trials = int(trials)
     if trials < 1:
         raise DomainError("need at least one probe trial")
-    band.validate_for(grid)
     probes = [random_band_signal(band, grid, seed, stream=i) for i in range(trials)]
-    _, idx, radius = grid._band_bins(band.R)
-    worst = idx[np.argmax(np.abs(evaluate(m1, radius) - evaluate(m2, radius)))]
+    v1, v2 = _on_band(m1, grid, band), _on_band(m2, grid, band)
+    worst = grid._band_bins(band.R)[1][np.argmax(np.abs(v1 - v2))]
     spike = np.zeros(grid.n, dtype=complex)
     spike[worst] = 1.0 / np.sqrt(grid.dxi)
     probes.append(_fresh(Spectrum, grid, spike))
-    return max(_probe_ratio(m1, m2, p, band) for p in probes)
+    return max(_probe_ratio(v1, v2, p, band) for p in probes)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracprop as fp
+import fracprop.errors as errors
 import fracprop.semistability as semistability
 import fracprop.symbols as symbols
 from fracprop import cli
@@ -125,6 +126,97 @@ def test_evolve_grid_consistency_flags(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("output", ["missing/o.csv", "a_directory"])
+def test_evolve_unwritable_output_is_a_usage_error(tmp_path, capsys, output):
+    # a missing directory, or a directory where the file should go: one error
+    # line, no traceback, and neither the output nor its temp file left behind
+    make_signal_file(tmp_path / "in.csv")
+    (tmp_path / "a_directory").mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    out = tmp_path / output
+    code, stdout, err = run_cli(capsys, [
+        "evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+        "--input", str(tmp_path / "in.csv"), "--output", str(out), "--band", "8",
+    ])
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert err.startswith(f"error: cannot write output file {out}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_evolve_overflowing_spectrum_is_a_usage_error(tmp_path, capsys):
+    # samples of 1e308 are finite, but their transform overflows: numpy warns,
+    # and the spectrum's finiteness check raises the error reported
+    src = tmp_path / "big.csv"
+    fp.save_signal_csv(src, fp.SampledSignal(fp.SpatialGrid(1024, 32.0), np.full(1024, 1e308)))
+    out = tmp_path / "o.csv"
+    with pytest.warns(RuntimeWarning):
+        result = run_cli(capsys, [
+            "evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+            "--input", str(src), "--output", str(out), "--band", "4",
+        ])
+    assert result == (cli.EXIT_USAGE, "", "error: samples contain non-finite values\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+def _ripple_profile(path):
+    # log-periodic ripple with period ln 2: branch-consistent for (2, 3) but
+    # not reproducible by any pure power law
+    s = np.linspace(-2.0, 2.0, 2048)
+    phi = np.exp(s) + 0.01 * np.sin(2.0 * np.pi * s / np.log(2.0))
+    fp.save_symbol_csv(path, fp.Tabulated(np.exp(s), np.exp(1j * phi)))
+
+
+def _error_table_case(tmp_path, code):
+    """An invocation whose library error maps to ``code``."""
+    sym = str(tmp_path / "sym.csv")
+    if code == cli.EXIT_USAGE:
+        return ["verify", "--alpha", "0", "--beta", "1"]
+    if code == cli.EXIT_BAND:
+        make_signal_file(tmp_path / "in.csv", n=64, x_max=8.0)
+        return ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "12",
+                "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "o.csv")]
+    if code == cli.EXIT_DEGENERATE:
+        make_symbol_file(sym, 2.0, 50.0, np.exp(-3.0), np.exp(3.0), num=64)
+        return ["identify", "--symbol", sym, "--a", str(np.sqrt(2.0)), "--b", str(np.sqrt(3.0))]
+    if code == cli.EXIT_PAIR:
+        make_symbol_file(sym, 2.0, 1.0, np.exp(-2.0), np.exp(2.0))
+        return ["identify", "--symbol", sym, "--a", "1.5", "--b", str(np.sqrt(3.0))]
+    _ripple_profile(sym)
+    return ["identify", "--symbol", sym, "--a", "2", "--b", "3", "--pair-tol", "0.5"]
+
+
+@pytest.mark.parametrize("code", [cli.EXIT_USAGE, cli.EXIT_BAND, cli.EXIT_DEGENERATE,
+                                  cli.EXIT_PAIR, cli.EXIT_MISMATCH])
+def test_each_exit_code_prints_one_error_line(tmp_path, capsys, code):
+    result = run_cli(capsys, _error_table_case(tmp_path, code))
+    assert result[:2] == (code, "")
+    assert result[2].startswith("error: ") and result[2].count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.InvalidInputError, cli.EXIT_USAGE),
+    (errors.DomainError, cli.EXIT_USAGE),
+    (errors.GridMismatchError, cli.EXIT_USAGE),
+    (errors.InsufficientDataError, cli.EXIT_USAGE),
+    (errors.IdentificationError, cli.EXIT_USAGE),
+    (errors.BandConfigError, cli.EXIT_BAND),
+    (errors.SymbolRangeError, cli.EXIT_BAND),
+    (errors.DegenerateSymbolError, cli.EXIT_DEGENERATE),
+    (errors.UnwrapResolutionError, cli.EXIT_DEGENERATE),
+    (errors.InconsistentPairError, cli.EXIT_PAIR),
+    (errors.BranchInconsistencyError, cli.EXIT_PAIR),
+    (errors.ModelMismatchError, cli.EXIT_MISMATCH),
+])
+def test_main_maps_every_library_error_to_its_exit_code(capsys, monkeypatch, error, code):
+    def raising(*args, **kwargs):
+        raise error("message")
+
+    monkeypatch.setattr(cli, "run_verification", raising)
+    result = run_cli(capsys, ["verify", "--alpha", "2", "--beta", "1"])
+    assert result == (code, "", "error: message\n")
+
+
 def test_identify_cli_round_trip(tmp_path, capsys):
     sym = tmp_path / "sym.csv"
     make_symbol_file(sym, 0.5, 1.5, np.exp(-6.0), np.exp(6.0))
@@ -176,12 +268,8 @@ def test_identify_cli_wrong_pair_exit_5(tmp_path, capsys):
 
 
 def test_identify_cli_model_mismatch_exit_6(tmp_path, capsys):
-    # log-periodic ripple with period ln 2: branch-consistent for (2, 3) but
-    # not reproducible by any pure power law
     sym = tmp_path / "ripple.csv"
-    s = np.linspace(-2.0, 2.0, 2048)
-    phi = np.exp(s) + 0.01 * np.sin(2.0 * np.pi * s / np.log(2.0))
-    fp.save_symbol_csv(sym, fp.Tabulated(np.exp(s), np.exp(1j * phi)))
+    _ripple_profile(sym)
     code, _, err = run_cli(capsys, [
         "identify", "--symbol", str(sym), "--a", "2", "--b", "3",
         "--tol", "1e-9", "--pair-tol", "0.5",

@@ -183,6 +183,16 @@ def test_probe_equals_the_largest_band_bin_mismatch():
         assert abs(est - worst) <= 2e-14, (m1, m2, est - worst)
 
 
+@pytest.mark.parametrize("trials", [1, 8])
+def test_probe_evaluates_each_symbol_once(evaluate_calls, trials):
+    # the spike and every probe share the two symbols' values on the band
+    grid, band, pairs = probe_pairs(np.random.default_rng(47))
+    m1, m2 = pairs[0]
+    evaluate_calls.clear()
+    fp.probe_operator_distance(m1, m2, band, grid, trials=trials, seed=3)
+    assert len(evaluate_calls) == 2
+
+
 def test_probe_is_never_below_a_gaussian_bump_probe():
     # a unit Gaussian bump 0.75*dxi wide averages the mismatch over about
     # three bins, so on every centre it reads no more than the probe
@@ -191,13 +201,14 @@ def test_probe_is_never_below_a_gaussian_bump_probe():
     sigma = 0.75 * grid.dxi
     for i, (m1, m2) in enumerate(pairs):
         est = fp.probe_operator_distance(m1, m2, band, grid, trials=2, seed=i)
+        v1, v2 = (fp.operators._on_band(m, grid, band) for m in (m1, m2))
         r = np.exp(np.linspace(-np.log(band.R), np.log(band.R), 4096))
         d = np.abs(fp.evaluate(m1, r) - fp.evaluate(m2, r))
         centres = np.append(np.linspace(1.0 / band.R, band.R, 7), r[np.argmax(d)])
         for centre in np.concatenate([centres, -centres]):
             bump = np.where(inside, np.exp(-0.5 * ((grid.xi - centre) / sigma) ** 2), 0.0)
             bump /= np.linalg.norm(bump) * np.sqrt(grid.dxi)
-            read = fp.operators._probe_ratio(m1, m2, fp.Spectrum(grid, bump), band)
+            read = fp.operators._probe_ratio(v1, v2, fp.Spectrum(grid, bump), band)
             assert est >= read, (m1, m2, centre, read - est)
 
 
@@ -212,7 +223,8 @@ def test_apply_spectrum_matches_apply(alpha, beta, probe_seed):
     grid, band = fp.SpatialGrid(512, 32.0), fp.BandSpec(4.0)
     spec = fp.ClosedForm(alpha, beta)
     f = fp.inverse_transform(fp.random_band_signal(band, grid, probe_seed))
-    shared = fp.operators._apply_spectrum(spec, fp.forward_transform(f), band)
+    mvals = fp.operators._on_band(spec, grid, band)
+    shared = fp.operators._apply_spectrum(mvals, fp.forward_transform(f), band)
     np.testing.assert_array_equal(shared.values, fp.apply(spec, f, band).values)
 
 
