@@ -205,8 +205,10 @@ def forward_transform(f):
     at the dual grid, i.e. the scaled FFT with the window-offset phase folded in.
     """
     g = f.grid
-    out = np.fft.fft(f.values)
-    out *= g._scale
+    # an overflowing spectrum is rejected by _fresh, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.fft.fft(f.values)
+        out *= g._scale
     return _fresh(Spectrum, g, out)
 
 

@@ -1,6 +1,6 @@
 """Apply multiplier operators to signals: evolution, translation, rescaling,
-conjugation by dilation, and operator-distance probing: random band probes
-plus an exact spike on the band bin where the two symbols differ most.
+conjugation by dilation, and operator-distance probing by an exact spike on
+the band bin where the two symbols differ most.
 
 Everything acts through the frequency side.  Translation and symbol
 application are exact per-bin operations; signal dilation needs band-limited
@@ -25,7 +25,6 @@ from .grids import (
     band_project,
     forward_transform,
     inverse_transform,
-    random_band_signal,
 )
 from .symbols import evaluate
 
@@ -172,26 +171,19 @@ def _probe_ratio(v1, v2, probe_spectrum, band):
     return float(num / sig.norm())
 
 
-def probe_operator_distance(m1, m2, band, grid, trials, seed):
-    """Lower estimate of the operator distance on the band: the largest
-    ``|| (T1 - T2) p || / || p ||`` over the ``trials`` random unit band
-    probes and one exact spike.
+def probe_operator_distance(m1, m2, band, grid):
+    """Lower estimate of the operator distance on the band:
+    ``|| (T1 - T2) p || / || p ||`` for the exact spike ``p``, unit mass on
+    the band bin of largest mismatch ``max_k |m1(xi_k) - m2(xi_k)|``.
 
     Both operators are multipliers, so every band bin is an eigenvector of
-    each, and no probe reads more than the largest bin mismatch
-    ``max_k |m1(xi_k) - m2(xi_k)|``.  The spike, unit mass on that worst bin,
-    reads it to round-off, so the estimate never exceeds the symbol sup
-    distance (beyond round-off) and falls short of it only by the mismatch's
-    variation within half a bin.  The random probes exercise the operators on
-    generic signals.
+    each, and no probe reads more than that mismatch.  The spike reads it to
+    round-off, so the estimate never exceeds the symbol sup distance (beyond
+    round-off) and falls short of it only by the mismatch's variation within
+    half a bin.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise DomainError("need at least one probe trial")
-    probes = [random_band_signal(band, grid, seed, stream=i) for i in range(trials)]
     v1, v2 = _on_band(m1, grid, band), _on_band(m2, grid, band)
     worst = grid._band_bins(band.R)[1][np.argmax(np.abs(v1 - v2))]
     spike = np.zeros(grid.n, dtype=complex)
     spike[worst] = 1.0 / np.sqrt(grid.dxi)
-    probes.append(_fresh(Spectrum, grid, spike))
-    return max(_probe_ratio(v1, v2, p, band) for p in probes)
+    return _probe_ratio(v1, v2, _fresh(Spectrum, grid, spike), band)

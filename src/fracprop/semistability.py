@@ -26,9 +26,9 @@ from .symbols import (
 class SemistablePair:
     """The two scaling constants (a, b); a == 1 is rejected (it forces m == 1)."""
 
-    __slots__ = ("a", "b", "_alpha")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b, _alpha=None):
+    def __init__(self, a, b):
         a = float(a)
         b = float(b)
         if not (np.isfinite(a) and np.isfinite(b)) or a <= 0 or b <= 0:
@@ -37,7 +37,6 @@ class SemistablePair:
             raise DomainError("a = 1 is degenerate: the doubling relation forces m == 1")
         self.a = a
         self.b = b
-        self._alpha = _alpha  # set when built by canonical_pair; enables exact factors
 
     def __repr__(self):
         return f"SemistablePair(a={self.a!r}, b={self.b!r})"
@@ -51,7 +50,6 @@ def canonical_pair(alpha):
     return SemistablePair(
         _float_power(2.0, 1.0 / alpha, "canonical pair constant 2**(1/alpha)"),
         _float_power(3.0, 1.0 / alpha, "canonical pair constant 3**(1/alpha)"),
-        _alpha=alpha,
     )
 
 
@@ -87,10 +85,8 @@ class SemistabilityReport:
         )
 
 
-def _closed_form_residual(spec, lam, target, exact):
+def _closed_form_residual(spec, lam, target):
     # m(lam*r) / m(r)**target = exp(i*beta*(lam**alpha - target)*r**alpha)
-    if exact:
-        return 0.0
     power = _float_power(lam, spec.alpha, "scaling power lam**alpha")
     return _snapped_chord_sup(power - target, target, spec.alpha, gain=spec.beta, coef=spec.beta)
 
@@ -126,9 +122,8 @@ def check_semistable(spec, pair, tol=1e-12):
     recorded in the report).
     """
     if isinstance(spec, ClosedForm):
-        exact = pair._alpha is not None and pair._alpha == spec.alpha
-        res2 = _closed_form_residual(spec, pair.a, 2.0, exact)
-        res3 = _closed_form_residual(spec, pair.b, 3.0, exact)
+        res2 = _closed_form_residual(spec, pair.a, 2.0)
+        res3 = _closed_form_residual(spec, pair.b, 3.0)
         eff = CHECK_RADII
     elif isinstance(spec, (Tabulated, SymbolProduct)):
         eff = _effective_grid(spec, pair)

@@ -107,7 +107,7 @@ def run_verification(alpha, beta, seed, fast=False):
         # wraps around and the check is meaningless at its tolerance
         xi_edges = (max(1.0 / band.R, carrier - 4.0 * width), carrier + 4.0 * width)
         a_abs = abs(group.alpha)
-        delay = 2.0 * a_abs * abs(group.beta) * max(e ** (a_abs - 1.0) for e in xi_edges)
+        delay = 2.0 * a_abs * abs(group.beta) * max(e ** (group.alpha - 1.0) for e in xi_edges)
         # conjugated_apply evolves the packet once more in a frame where its
         # spectrum is scaled by pair.a and its width by 1/pair.a: for alpha < 0
         # it is wider there and its delay larger.  Its tails fall below the
@@ -151,7 +151,7 @@ def run_verification(alpha, beta, seed, fast=False):
             res = np.linalg.norm(twice.values - conj.values) * np.sqrt(grid.dx) / f.norm()
             checks.append(_check("order_doubling_signal", res, tol))
 
-        worst_scaling = max(check_scaling(group, t) for t in (0.25, 1.0, 8.0))
+        worst_scaling = max(check_scaling(group, t) for t in (0.25, 8.0))
         checks.append(_check("scaling_identity", worst_scaling, 1e-12 * scale))
 
     # Group law on random time pairs.
@@ -181,8 +181,7 @@ def run_verification(alpha, beta, seed, fast=False):
     lower_tol = (np.pi * abs(group.alpha) * dist_grid.dxi) ** 2 / 8.0 + 1e-12 * scale
     dist_band = BandSpec(2.0)
     sup = band_sup_distance(m1, spec, dist_band)
-    probed = probe_operator_distance(m1, spec, dist_band, dist_grid,
-                                     trials=4 if fast else 8, seed=seed)
+    probed = probe_operator_distance(m1, spec, dist_band, dist_grid)
     checks.append(_check("operator_distance_upper", max(probed - sup, 0.0),
                          1e-12 * scale,
                          detail=f"sup={sup:.17g} probe={probed:.17g}"))

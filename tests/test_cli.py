@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,15 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(argv):
+    """``python -m fracprop.cli argv`` in a fresh process, with this tree's
+    package first on the path and Python's default warning filters."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def make_signal_file(path, n=2048, x_max=40.0, width=0.25, carrier=2.0):
@@ -144,17 +154,20 @@ def test_evolve_unwritable_output_is_a_usage_error(tmp_path, capsys, output):
 
 
 def test_evolve_overflowing_spectrum_is_a_usage_error(tmp_path, capsys):
-    # samples of 1e308 are finite, but their transform overflows: numpy warns,
-    # and the spectrum's finiteness check raises the error reported
+    # samples of 1e308 are finite, but their transform overflows: the
+    # spectrum's finiteness check raises the error reported, and numpy's
+    # overflow warnings are not printed ahead of it
     src = tmp_path / "big.csv"
     fp.save_signal_csv(src, fp.SampledSignal(fp.SpatialGrid(1024, 32.0), np.full(1024, 1e308)))
     out = tmp_path / "o.csv"
-    with pytest.warns(RuntimeWarning):
-        result = run_cli(capsys, [
-            "evolve", "--alpha", "2", "--beta", "1", "--t", "1",
-            "--input", str(src), "--output", str(out), "--band", "4",
-        ])
+    argv = ["evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+            "--input", str(src), "--output", str(out), "--band", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, argv)
     assert result == (cli.EXIT_USAGE, "", "error: samples contain non-finite values\n")
+    proc = run_cli_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == result
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
@@ -349,10 +362,7 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, make_input, command, h
     path = str(make_input(tmp_path, header))
     out = tmp_path / "never.csv"
     argv = _argv(command, path, out)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli_process(argv)
     assert proc.returncode == cli.EXIT_USAGE
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -390,17 +400,22 @@ def test_verify_cli_invalid_spec(capsys):
     assert "invalid group" in err
 
 
-@pytest.mark.parametrize("fast", [False, True])
-@pytest.mark.parametrize("alpha, quantity", [
-    ("1e-4", "canonical pair constant 2**(1/alpha)"),
-    ("400", "phase 1*|xi|**400"),
-    ("240", "phase 1*r**240 overflows"),
-    ("-240", "phase 1*|xi|**-240 overflows"),
+@pytest.mark.parametrize("alpha, quantity, fast", [
+    ("1e-4", "canonical pair constant 2**(1/alpha)", False),
+    ("1e-4", "canonical pair constant 2**(1/alpha)", True),
+    ("400", "phase 1*|xi|**400", False),
+    ("400", "phase 1*r**400 overflows", True),
+    ("240", "phase 1*r**240 overflows", False),
+    ("240", "phase 1*r**240 overflows", True),
+    ("-240", "phase 1*r**-240 overflows", False),
+    ("-240", "phase 1*r**-240 overflows", True),
 ])
 def test_verify_cli_overflow_is_a_usage_error(capsys, alpha, quantity, fast):
     # an exponent whose powers leave the float range is a domain error:
     # exit 2 and one line naming the quantity, no traceback and no warning;
-    # the phase named is the symbol's, not a rounding residue like -2.7e-14
+    # the phase named is the symbol's, not a rounding residue like -2.7e-14.
+    # The first check to meet the overflow names it: the band's |xi| for
+    # 400 in full mode, else the semistability check window's r
     argv = ["verify", "--alpha", alpha, "--beta", "1"] + (["--fast"] if fast else [])
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -489,10 +504,7 @@ def test_main_in_one_process_matches_separate_processes(tmp_path, capsys, monkey
     ]
     shared = [run_cli(capsys, argv) for argv in argvs]
     assert cli.build_parser() is cli.build_parser()
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for argv, (code, out, err) in zip(argvs, shared):
-        alone = subprocess.run([sys.executable, "-m", "fracprop.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=120)
+        alone = run_cli_process(argv)
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2]
