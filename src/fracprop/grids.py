@@ -114,8 +114,11 @@ def _as_complex_values(values, n):
         vals = vals.copy()
     if vals.shape != (n,):
         raise InvalidInputError(f"expected {n} samples, got shape {vals.shape}")
-    # one pass: a complex value is finite only if both of its parts are
-    if not np.isfinite(vals.view(float)).all():
+    # a sum of |v|**2 is finite only if every sample is; huge finite samples
+    # can overflow it, so only then does the elementwise test decide (a
+    # complex value is finite only if both of its parts are)
+    if (not np.isfinite(np.vdot(vals, vals).real)
+            and not np.isfinite(vals.view(float)).all()):
         raise InvalidInputError("samples contain non-finite values")
     vals.setflags(write=False)
     return vals

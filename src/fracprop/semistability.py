@@ -43,14 +43,22 @@ class SemistablePair:
 
 
 def canonical_pair(alpha):
-    """The unique pair for exponent alpha: (2**(1/alpha), 3**(1/alpha))."""
+    """The unique pair for exponent alpha: (2**(1/alpha), 3**(1/alpha)).
+
+    A constant outside the float range, or subnormal (so left with only a
+    few significant bits), raises DomainError naming it.
+    """
     alpha = float(alpha)
     if alpha == 0.0 or not np.isfinite(alpha):
         raise DomainError("no canonical pair for exponent 0 (identity: any pair works)")
-    return SemistablePair(
-        _float_power(2.0, 1.0 / alpha, "canonical pair constant 2**(1/alpha)"),
-        _float_power(3.0, 1.0 / alpha, "canonical pair constant 3**(1/alpha)"),
-    )
+    a = _float_power(2.0, 1.0 / alpha, "canonical pair constant 2**(1/alpha)")
+    b = _float_power(3.0, 1.0 / alpha, "canonical pair constant 3**(1/alpha)")
+    # b = a**log2(3), so wherever a is subnormal b has underflowed to 0
+    if b < np.finfo(float).tiny:
+        raise DomainError(
+            f"canonical pair constant 3**(1/alpha) = 3**{1.0 / alpha:.6g} = {b:.3g} is subnormal"
+        )
+    return SemistablePair(a, b)
 
 
 class SemistabilityReport:

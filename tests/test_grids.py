@@ -114,6 +114,23 @@ def test_non_finite_rejected():
         fp.Spectrum(g, np.full(64, np.inf))
 
 
+def test_huge_finite_samples_pass_the_finiteness_screen():
+    # the sum of |v|**2 overflows (or reads nan) for these samples, so the
+    # one-pass screen cannot decide and the elementwise test must; any one
+    # non-finite part among them is still refused, without a numpy warning
+    g = fp.SpatialGrid(4096, 8.0)
+    huge = np.full(4096, 1e200 + 1e200j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cls in (fp.SampledSignal, fp.Spectrum):
+            np.testing.assert_array_equal(cls(g, huge).values, huge)
+            for bad in (np.nan, np.inf, -np.inf, complex(1, np.inf)):
+                vals = huge.copy()
+                vals[1234] = bad
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    cls(g, vals)
+
+
 def test_inner_product_all_ones():
     g = fp.SpatialGrid(128, 10.0)
     f = fp.SampledSignal(g, np.ones(128))

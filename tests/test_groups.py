@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import fracprop as fp
+import fracprop.groups as groups
 from fracprop.errors import DomainError, InsufficientDataError, InvalidInputError
+from fracprop.operators import _apply_spectrum, _on_band
 from conftest import band_packet, identify_halfwidth
 
 
@@ -51,6 +53,53 @@ def test_group_law_rejects_zero_signal():
     zero = fp.SampledSignal(grid, np.zeros(64))
     with pytest.raises(InvalidInputError):
         fp.check_group_law(fp.GroupSpec(2.0, 1.0), 0.5, 0.25, zero, fp.BandSpec(2.0))
+
+
+def signal_space_group_law(group, t1, t2, f, band):
+    """The group-law residual with both sides carried back to signals."""
+    F = fp.forward_transform(f)
+    lhs = _apply_spectrum(_on_band(groups.member(group, t1 + t2), f.grid, band), F, band)
+    mid = _apply_spectrum(_on_band(groups.member(group, t2), f.grid, band), F, band)
+    rhs = fp.apply(groups.member(group, t1), mid, band)
+    return np.linalg.norm(lhs.values - rhs.values) * np.sqrt(f.grid.dx) / f.norm()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.0, 0.0), (2.0, 1.0), (1.0, -2.0), (0.5, 1.0), (3.0, 5.0), (6.0, 1.0),
+    (2.0, 30.0), (0.1, 1.0), (-1.0, 20.0), (-2.0, 10.0), (-0.5, 3.0),
+])
+def test_group_law_on_band_bins_matches_signal_space(alpha, beta):
+    # by discrete Plancherel the band-bin residual is the signal-space one;
+    # the two differ by round-off, bounded by verify's floor for group_law
+    group = fp.GroupSpec(alpha, beta)
+    rng = np.random.default_rng(11)
+    for n, R in ((4096, 8.0), (2048, 4.0)):
+        grid = fp.SpatialGrid(n, 128.0)
+        band = fp.BandSpec(R)
+        f = fp.inverse_transform(fp.random_band_signal(band, grid, 7, stream=10_001))
+        floor = 4.0 * np.finfo(float).eps * max(abs(beta) * 12.0 * R ** abs(alpha), 1.0)
+        for _ in range(20):
+            t1, t2 = rng.uniform(-3.0, 3.0, size=2)
+            ref = signal_space_group_law(group, t1, t2, f, band)
+            assert abs(fp.check_group_law(group, t1, t2, f, band) - ref) <= floor
+
+
+def test_group_law_sees_a_coefficient_not_linear_in_time(monkeypatch):
+    # a member whose coefficient bends in t breaks the law by ~1e-6, and the
+    # band-bin residual still reads what the signal-space one does
+    monkeypatch.setattr(groups, "member",
+                        lambda g, t: fp.ClosedForm(g.alpha, g.beta * t + 1e-9 * t**2))
+    grid = fp.SpatialGrid(4096, 128.0)
+    band = fp.BandSpec(8.0)
+    f = fp.inverse_transform(fp.random_band_signal(band, grid, 7))
+    group = fp.GroupSpec(2.0, 1.0)
+    res = fp.check_group_law(group, 1.5, -2.5, f, band)
+    assert res > 1e-12
+    assert res == pytest.approx(signal_space_group_law(group, 1.5, -2.5, f, band), rel=1e-9)
+    report = fp.run_verification(2.0, 1.0, 7)
+    law = {c["name"]: c for c in report["checks"]}["group_law"]
+    assert not law["pass"]
+    assert not report["pass"]
 
 
 def test_member_product_matches_sum(packet_grid, wide_band):

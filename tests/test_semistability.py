@@ -35,6 +35,16 @@ def test_canonical_pair_out_of_range_is_a_domain_error():
         fp.canonical_pair(-1e-4)
 
 
+@pytest.mark.parametrize("alpha, exponent", [(-0.0015, "-666.667"), (-0.00148, "-675.676")])
+def test_canonical_pair_refuses_a_subnormal_constant(alpha, exponent):
+    # 3**(1/alpha) is nonzero but below the smallest normal float, so it keeps
+    # only a few significant bits and the pair would fail its own relations
+    assert 0.0 < 3.0 ** (1.0 / alpha) < np.finfo(float).tiny
+    with pytest.raises(DomainError,
+                       match=rf"3\*\*\(1/alpha\) = 3\*\*{exponent} = .* is subnormal"):
+        fp.canonical_pair(alpha)
+
+
 def test_pair_validation():
     with pytest.raises(DomainError):
         fp.SemistablePair(1.0, 3.0)  # a = 1 forces the constant symbol
