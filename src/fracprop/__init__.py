@@ -36,10 +36,8 @@ from .grids import (
 from .symbols import (
     ClosedForm,
     ContinuityReport,
-    SymbolProduct,
     Tabulated,
     band_sup_distance,
-    combine,
     continuity_modulus,
     dilate,
     evaluate,

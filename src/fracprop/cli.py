@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -83,14 +84,29 @@ def _fail(message, code):
     return code
 
 
+def _output_mode(path):
+    """The mode of the file at ``path``, or, for a new file, 0o666 less the
+    umask, the mode ``open`` would give it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_atomic(path, writer):
     """Write via a sibling temp file + rename so failures leave nothing
-    behind; a path that cannot be written raises InvalidInputError."""
+    behind; a path that cannot be written raises InvalidInputError.  The temp
+    file takes :func:`_output_mode`, not ``mkstemp``'s 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        os.close(fd)
+        try:
+            os.fchmod(fd, _output_mode(path))
+        finally:
+            os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
     except OSError as exc:
@@ -113,7 +129,6 @@ def cmd_evolve(args):
             f"--x-max {args.x_max} does not match the input window {signal.grid.x_max}")
     band = BandSpec(args.band)
     evolved = apply(symbol, signal, band)
-    _write_atomic(args.output, lambda tmp: save_signal_csv(tmp, evolved))
     report = {
         "schema": 1,
         "tool": "fracprop-evolve",
@@ -126,7 +141,9 @@ def cmd_evolve(args):
         "norm_in": signal.norm(),
         "norm_out": evolved.norm(),
     }
-    print(render_json(report))
+    rendered = render_json(report)  # before the write, so a failure leaves no file
+    _write_atomic(args.output, lambda tmp: save_signal_csv(tmp, evolved))
+    print(rendered)
     return EXIT_OK
 
 

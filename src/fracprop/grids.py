@@ -124,6 +124,18 @@ def _as_complex_values(values, n):
     return vals
 
 
+def _l2_norm(vals):
+    """``norm(vals)``; where its sum of squares overflows, ``m * norm(vals / m)``
+    with ``m = max|v|``, so huge finite samples keep a finite norm (only then,
+    so every other norm keeps its last bits)."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(vals))
+    if not np.isfinite(out):
+        m = float(np.max(np.abs(vals)))
+        out = m * float(np.linalg.norm(vals / m))
+    return out
+
+
 def _fresh(cls, grid, vals):
     """``cls(grid, vals)`` for a complex array the library has just allocated:
     frozen in place first, it is wrapped without a copy, and the shape and
@@ -143,7 +155,7 @@ class SampledSignal:
 
     def norm(self):
         """Discrete L2 norm sqrt(sum |f|^2 dx)."""
-        return float(np.linalg.norm(self.values)) * np.sqrt(self.grid.dx)
+        return _l2_norm(self.values) * np.sqrt(self.grid.dx)
 
     def __repr__(self):
         return f"SampledSignal(n={self.grid.n}, norm={self.norm():.6g})"
@@ -159,7 +171,7 @@ class Spectrum:
         self.values = _as_complex_values(values, grid.n)
 
     def norm(self):
-        return float(np.linalg.norm(self.values)) * np.sqrt(self.grid.dxi)
+        return _l2_norm(self.values) * np.sqrt(self.grid.dxi)
 
     def __repr__(self):
         return f"Spectrum(n={self.grid.n}, norm={self.norm():.6g})"

@@ -13,11 +13,9 @@ from .errors import DomainError, InvalidInputError, SymbolRangeError
 from .symbols import (
     CHECK_RADII,
     ClosedForm,
-    SymbolProduct,
     Tabulated,
     _float_power,
     _snapped_chord_sup,
-    combine,
     dilate,
     evaluate,
 )
@@ -106,8 +104,6 @@ def _sampled_residual(spec, lam, target, r_grid):
 
 def _effective_grid(spec, pair):
     """The check radii r where r, a*r and b*r all lie in a tabulated range."""
-    if not isinstance(spec, Tabulated):
-        return CHECK_RADII
     lo = spec.r_min / min(1.0, pair.a, pair.b)
     hi = spec.r_max / max(1.0, pair.a, pair.b)
     kept = CHECK_RADII[(CHECK_RADII >= lo) & (CHECK_RADII <= hi)]
@@ -124,16 +120,15 @@ def check_semistable(spec, pair, tol=1e-12):
     [e^-3, e^3] (``symbols.CHECK_RADII``, 4096 log-uniform radii).
 
     Closed-form symbols are checked through the algebraically reduced phase
-    difference, which is exact over the whole window; tabulated and product
-    symbols are checked pointwise on its radii (and for tabulated input the
-    radii are clipped to those where all three of r, a*r, b*r are in range,
-    recorded in the report).
+    difference, which is exact over the whole window; tabulated symbols are
+    checked pointwise on its radii, clipped to those where all three of r,
+    a*r, b*r are in range (recorded in the report).
     """
     if isinstance(spec, ClosedForm):
         res2 = _closed_form_residual(spec, pair.a, 2.0)
         res3 = _closed_form_residual(spec, pair.b, 3.0)
         eff = CHECK_RADII
-    elif isinstance(spec, (Tabulated, SymbolProduct)):
+    elif isinstance(spec, Tabulated):
         eff = _effective_grid(spec, pair)
         base = evaluate(spec, eff)  # m(r), shared by both relations
         res2 = _sampled_residual(spec, pair.a, base**2, eff)
@@ -150,17 +145,17 @@ def check_semistable(spec, pair, tol=1e-12):
 
 def order_doubling_residual(spec):
     """Sup distance over the check window [e^-3, e^3] between the squared
-    symbol and the symbol rescaled by 2**(1/alpha), computed through the
-    actual dilate/combine code paths."""
+    symbol, whose coefficient is 2*beta, and the symbol rescaled by
+    2**(1/alpha), computed through the actual dilate code path."""
     if not isinstance(spec, ClosedForm):
         raise InvalidInputError("order check is defined for closed-form symbols")
     if spec.alpha == 0.0:
         if spec.beta == 0.0:
             return 0.0
         raise DomainError("exponent 0 with nonzero coefficient has no order")
-    squared = combine([(spec, 2)])
+    squared = 2.0 * spec.beta
     rescaled = dilate(spec, _float_power(2.0, 1.0 / spec.alpha, "order 2**(1/alpha)"))
-    return _snapped_chord_sup(squared.beta - rescaled.beta, max(abs(squared.beta), 1.0),
+    return _snapped_chord_sup(squared - rescaled.beta, max(abs(squared), 1.0),
                               spec.alpha, coef=spec.beta)
 
 
@@ -168,6 +163,6 @@ def check_order(spec, tol=1e-12):
     """True iff squaring the operator equals rescaling by 2**(1/alpha).
 
     Always true analytically for closed forms; the check guards the dilation
-    and product implementations (a corrupted rescale factor fails it).
+    implementation (a corrupted rescale factor fails it).
     """
     return order_doubling_residual(spec) <= tol

@@ -1,13 +1,12 @@
 """Unimodular radial Fourier symbols and their algebra.
 
-A symbol is one of three immutable specs:
+A symbol is one of two immutable specs:
 
 * :class:`ClosedForm`: ``m(xi) = exp(i * beta * |xi|**alpha)``.
 * :class:`Tabulated`: a radial profile sampled on a log-uniform grid, evaluated
   by cubic-spline interpolation of the unwrapped phase in log-radius (never of
   the complex values, so unit modulus is preserved and no chord shortcuts occur).
   The spline's per-interval polynomial coefficients are stored with it.
-* :class:`SymbolProduct`: a pointwise product of integer powers of other specs.
 
 All evaluation goes through a real phase function, so results are exactly
 unimodular up to the rounding of ``exp``.
@@ -154,18 +153,6 @@ class Tabulated:
         return f"Tabulated(n={self.r.size}, r=[{self.r_min:.4g}, {self.r_max:.4g}])"
 
 
-class SymbolProduct:
-    """Pointwise product of integer powers of symbols (use :func:`combine`)."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-
-    def __repr__(self):
-        return f"SymbolProduct({list(self.factors)!r})"
-
-
 # ---------------------------------------------------------------------------
 # Cubic spline (not-a-knot) of the unwrapped phase.  The boundary condition
 # keeps O(h^4) accuracy up to the endpoints, which the tabulation fidelity
@@ -304,10 +291,6 @@ def phase(spec, xi):
         out = _closed_form_phase(spec, radius)
     elif isinstance(spec, Tabulated):
         out = _tabulated_phase(spec, radius)
-    elif isinstance(spec, SymbolProduct):
-        out = np.zeros_like(radius)
-        for sub, power in spec.factors:
-            out += power * phase(sub, radius)
     else:
         raise InvalidInputError(f"not a multiplier spec: {spec!r}")
     return float(out[0]) if scalar else out
@@ -362,35 +345,7 @@ def dilate(spec, lam):
         if lam == 1.0:
             return spec
         return spec._dilated(lam)
-    if isinstance(spec, SymbolProduct):
-        return SymbolProduct([(dilate(sub, lam), p) for sub, p in spec.factors])
     raise InvalidInputError(f"not a multiplier spec: {spec!r}")
-
-
-def combine(terms):
-    """Pointwise product of powered symbols, e.g. ``combine([(m, 2), (w, -1)])``.
-
-    Negative powers are unimodular inverses (conjugates).  Closed forms with a
-    common exponent fold into a single closed form, so cancellation is exact.
-    """
-    factors = []
-    for spec, power in terms:
-        if power != int(power):
-            raise InvalidInputError(f"powers must be integers, got {power}")
-        factors.append((spec, int(power)))
-    if all(isinstance(s, ClosedForm) for s, _ in factors):
-        alphas = {s.alpha for s, p in factors if p != 0 and s.beta != 0.0}
-        if len(alphas) <= 1:
-            alpha = alphas.pop() if alphas else 0.0
-            beta = float(sum(s.beta * p for s, p in factors))
-            return ClosedForm(alpha, beta)
-    tabs = [s for s, _ in factors if isinstance(s, Tabulated)]
-    if tabs:
-        lo = max(t.r_min for t in tabs)
-        hi = min(t.r_max for t in tabs)
-        if lo >= hi:
-            raise SymbolRangeError("tabulated factors have no common radius range")
-    return SymbolProduct(factors)
 
 
 def tabulate(spec, r_min, r_max, num=4096):
@@ -456,6 +411,11 @@ def band_sup_distance(m1, m2, band):
     """
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
         return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
+    return _scanned_sup_distance(m1, m2, band)
+
+
+def _scanned_sup_distance(m1, m2, band):
+    """The scan and zoom of :func:`band_sup_distance`, for any two specs."""
 
     def dist(r):
         return np.abs(evaluate(m1, r) - evaluate(m2, r))

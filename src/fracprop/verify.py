@@ -2,7 +2,7 @@
 
 Runs the library's defining identities end to end on deterministic seeded
 probes and reports one residual per check.  Used by the ``verify`` CLI
-subcommand; any broken building block (transforms, rescaling, products,
+subcommand; any broken building block (transforms, rescaling, group law,
 probing) surfaces as a named failing check.
 """
 

@@ -171,6 +171,70 @@ def test_evolve_overflowing_spectrum_is_a_usage_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
+def test_evolve_huge_finite_samples_report_their_norm(tmp_path, capsys):
+    # samples of 1e200 + 1e200i are finite and so is their spectrum, but
+    # sum |f|^2 overflows: the norm is taken scaled, with no overflow warning
+    src = tmp_path / "huge.csv"
+    fp.save_signal_csv(src, fp.SampledSignal(fp.SpatialGrid(2048, 64.0),
+                                             np.full(2048, 1e200 + 1e200j)))
+    out = tmp_path / "o.csv"
+    argv = ["evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+            "--input", str(src), "--output", str(out), "--band", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert report["norm_in"] == pytest.approx(1.6e201, rel=1e-12)
+    assert report["norm_out"] == 0.0  # the constant lies at xi = 0, outside the band
+    proc = run_cli_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
+def test_evolve_report_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # the report is rendered before the output is written
+    make_signal_file(tmp_path / "in.csv")
+
+    def failing(obj):
+        raise errors.InvalidInputError("report cannot be rendered")
+
+    monkeypatch.setattr(cli, "render_json", failing)
+    code, stdout, _ = run_cli(capsys, [
+        "evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+        "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "o.csv"),
+        "--band", "8",
+    ])
+    assert (code, stdout) == (cli.EXIT_USAGE, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.usefixtures("umask_022")
+@pytest.mark.parametrize("existing, expected", [(None, 0o644), (0o600, 0o600), (0o664, 0o664)],
+                         ids=["new", "kept-0600", "kept-0664"])
+def test_evolve_output_file_mode(tmp_path, capsys, existing, expected):
+    # a new file gets 0o666 less the umask, as open() would give it, not
+    # mkstemp's 0o600; an overwritten file keeps its mode
+    make_signal_file(tmp_path / "in.csv")
+    out = tmp_path / "o.csv"
+    if existing is not None:
+        out.write_text("old\n")
+        out.chmod(existing)
+    code, _, _ = run_cli(capsys, [
+        "evolve", "--alpha", "2", "--beta", "1", "--t", "1",
+        "--input", str(tmp_path / "in.csv"), "--output", str(out), "--band", "8",
+    ])
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == expected
+    assert fp.load_signal_csv(out).grid.n == 2048
+
+
 def _ripple_profile(path):
     # log-periodic ripple with period ln 2: branch-consistent for (2, 3) but
     # not reproducible by any pure power law

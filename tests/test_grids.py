@@ -331,6 +331,19 @@ def test_overflowing_transform_rejected():
             fp.forward_transform(f)
 
 
+@pytest.mark.parametrize("cls, step", [(fp.SampledSignal, "dx"), (fp.Spectrum, "dxi")])
+def test_norm_of_huge_finite_samples(cls, step):
+    # sum |v|^2 overflows, the norm does not: it is taken scaled, without a
+    # warning, while ordinary norms keep the plain formula's bits
+    g = fp.SpatialGrid(64, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = cls(g, np.full(64, 3e200 - 4e200j)).norm()
+    assert huge == pytest.approx(5e200 * np.sqrt(64 * getattr(g, step)), rel=1e-14)
+    vals = np.random.default_rng(3).normal(size=64) + 1j
+    assert cls(g, vals).norm() == float(np.linalg.norm(vals)) * np.sqrt(getattr(g, step))
+
+
 def test_constructors_copy_caller_arrays():
     g = fp.SpatialGrid(64, 8.0)
     for cls in (fp.SampledSignal, fp.Spectrum):

@@ -102,14 +102,6 @@ def test_group_law_sees_a_coefficient_not_linear_in_time(monkeypatch):
     assert not report["pass"]
 
 
-def test_member_product_matches_sum(packet_grid, wide_band):
-    g = fp.GroupSpec(1.0, -2.0)
-    prod = fp.combine([(fp.member(g, 0.4), 1), (fp.member(g, 1.1), 1)])
-    joint = fp.member(g, 1.5)
-    assert prod.alpha == joint.alpha
-    assert prod.beta == pytest.approx(joint.beta, rel=1e-15)
-
-
 def test_scaling_identity_examples():
     assert fp.check_scaling(fp.GroupSpec(1.0, 2.0), 8.0) == 0.0
     assert fp.check_scaling(fp.GroupSpec(2.0, 1.0), 0.25) == 0.0

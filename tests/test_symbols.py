@@ -1,4 +1,4 @@
-"""Symbol algebra: evaluation, rescaling, products, sup distance, continuity."""
+"""Symbol algebra: evaluation, rescaling, sup distance, continuity."""
 
 import numpy as np
 import pytest
@@ -44,7 +44,6 @@ def test_eval_tabulated_against_closed_form_oracle():
 NON_FINITE_SPECS = {
     "closed_form": fp.ClosedForm(2.0, 1.0),
     "tabulated": fp.tabulate(fp.ClosedForm(1.0, 1.0), 0.5, 2.0, 64),
-    "product": fp.combine([(fp.ClosedForm(2.0, 1.0), 1), (fp.ClosedForm(1.0, -0.5), 3)]),
 }
 
 
@@ -56,6 +55,24 @@ def test_eval_refuses_non_finite_frequencies(kind, xi):
         fp.evaluate(spec, xi)
     with pytest.raises(InvalidInputError, match="finite"):
         fp.symbols.phase(spec, np.array([1.0, xi]))
+
+
+# Each entry point given a non-spec where it expects a symbol.
+NON_SPEC_CALLS = {
+    "phase": lambda x: fp.symbols.phase(x, 1.0),
+    "evaluate": lambda x: fp.evaluate(x, 1.0),
+    "dilate": lambda x: fp.dilate(x, 2.0),
+    "check_semistable": lambda x: fp.check_semistable(x, fp.canonical_pair(2.0)),
+    "band_sup_distance": lambda x: fp.band_sup_distance(x, fp.ClosedForm(2.0, 1.0),
+                                                        fp.BandSpec(2.0)),
+    "continuity_modulus": lambda x: fp.continuity_modulus(x, fp.BandSpec(2.0), [1e-3]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_SPEC_CALLS))
+def test_non_spec_is_refused(call):
+    with pytest.raises(InvalidInputError, match="not a multiplier spec"):
+        NON_SPEC_CALLS[call](object())
 
 
 def test_eval_tabulated_out_of_range():
@@ -78,7 +95,6 @@ def test_unimodularity_everywhere():
     specs = [
         fp.ClosedForm(2.0, 7.0),
         fp.tabulate(fp.ClosedForm(0.5, 2.0), 0.01, 100.0, 512),
-        fp.combine([(fp.ClosedForm(2.0, 1.0), 1), (fp.ClosedForm(1.0, -0.5), 3)]),
     ]
     r = log_grid(0.02, 50.0, 999)
     for spec in specs:
@@ -351,33 +367,11 @@ def test_dilation_semigroup(lam1, lam2, alpha, beta):
     assert once.beta == pytest.approx(joint.beta, rel=1e-14, abs=1e-300)
 
 
-def test_combine_cancellation_and_powers():
-    m = fp.ClosedForm(2.0, 1.0)
-    const = fp.combine([(m, 2), (m, -2)])
-    r = log_grid(0.05, 20.0, 513)
-    np.testing.assert_allclose(fp.evaluate(const, r), 1.0, rtol=0, atol=1e-15)
-    squared = fp.combine([(m, 2)])
-    assert squared == fp.ClosedForm(2.0, 2.0)
-
-
-def test_combine_canonical_rescale_cancels():
-    # rescaling by 2**(1/alpha) doubles the phase, so m(a.)*m^-2 is constant 1
-    r = log_grid(np.exp(-3.0), np.exp(3.0), 4096)
+def test_dilate_by_canonical_constant_doubles_beta():
+    # rescaling by 2**(1/alpha) doubles the phase: m(a*r) = m(r)**2
     for alpha, beta in [(2.0, 1.0), (0.5, -3.0), (1.0, 1.0)]:
         m = fp.ClosedForm(alpha, beta)
-        a = 2.0 ** (1.0 / alpha)
-        prod = fp.combine([(fp.dilate(m, a), 1), (m, -2)])
-        assert np.max(np.abs(fp.evaluate(prod, r) - 1.0)) <= 1e-12
-
-
-def test_combine_rejects_non_integer_powers_and_disjoint_ranges():
-    m = fp.ClosedForm(2.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        fp.combine([(m, 1.5)])
-    t1 = fp.tabulate(m, 0.1, 0.5, 64)
-    t2 = fp.tabulate(m, 2.0, 9.0, 64)
-    with pytest.raises(SymbolRangeError):
-        fp.combine([(t1, 1), (t2, 1)])
+        assert fp.dilate(m, 2.0 ** (1.0 / alpha)).beta == pytest.approx(2.0 * beta, rel=1e-12)
 
 
 def test_band_sup_distance_zero_and_constants():
@@ -440,9 +434,7 @@ def test_scan_and_zoom_matches_exact_chord_sup(alpha, beta1, beta2, R):
     ds = 2.0 * np.log(R) / 4095
     assume(abs(coef * alpha) * R ** abs(alpha) * ds < np.pi / 2.0)
     m1, m2 = fp.ClosedForm(alpha, beta1), fp.ClosedForm(alpha, beta2)
-    # a one-factor product evaluates exactly as m1 but is no closed form, so
-    # it takes the scan and the zoom
-    value = fp.band_sup_distance(fp.symbols.SymbolProduct([(m1, 1)]), m2, fp.BandSpec(R))
+    value = fp.symbols._scanned_sup_distance(m1, m2, fp.BandSpec(R))
     exact = fp.symbols._power_phase_chord_sup(coef, alpha, 1.0 / R, R)
     assert abs(value - exact) <= 1e-12
     assert fp.band_sup_distance(m1, m2, fp.BandSpec(R)) == exact
@@ -493,11 +485,6 @@ def _continuity_oracle(spec, band, eps):
 CONTINUITY_SPECS = {
     "tabulated": fp.Tabulated(log_grid(np.exp(-3.0), np.exp(3.0), 4096),
                               np.exp(1.3j * log_grid(np.exp(-3.0), np.exp(3.0), 4096) ** 0.8)),
-    "product": fp.combine([(fp.ClosedForm(2.0, 1.0), 1), (fp.ClosedForm(0.5, -3.0), 2)]),
-    "product_with_table": fp.combine([
-        (fp.tabulate(fp.ClosedForm(0.7, 4.0), np.exp(-3.0), np.exp(3.0), 4096), 1),
-        (fp.ClosedForm(1.5, 0.2), -1),
-    ]),
 }
 
 
