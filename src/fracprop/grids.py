@@ -231,9 +231,11 @@ def inverse_transform(F):
     """Inverse of :func:`forward_transform`; exact to round-off."""
     g = F.grid
     # unscaled, so one pass applies 1/n and the unitary factor together;
-    # n is a power of two, so this rounds as the two passes would
-    out = np.fft.ifft(F.values * g._parity, norm="forward")
-    out *= g.dxi / _SQRT_TWO_PI
+    # n is a power of two, so this rounds as the two passes would.  An
+    # overflowing signal is rejected by _fresh, not reported by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.fft.ifft(F.values * g._parity, norm="forward")
+        out *= g.dxi / _SQRT_TWO_PI
     return _fresh(SampledSignal, g, out)
 
 

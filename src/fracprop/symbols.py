@@ -20,7 +20,9 @@ from .grids import _file_bytes, _read_csv_table, _write_csv_table
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
 
-# Points of every dense radius scan: the band scans and the check window.
+# Points of the check window below and of the band scan of
+# band_sup_distance for pairs with no common pp-form.  Tabulated residuals
+# and moduli of continuity read no scan: they are exact over the spline.
 _SCAN_POINTS = 4096
 
 # The window [e^-3, e^3] of the scaling, order and rescaling checks and the
@@ -252,6 +254,72 @@ def _spline_eval(tab, s_query):
     return y + t * (c1 + t * (c2 + t * c3))
 
 
+def _pp_difference_range(s, coef, shift, k, s_lo, s_hi):
+    """``(min, max)`` of ``D(x) = Q(x + shift) - k*Q(x)`` over ``[s_lo, s_hi]``,
+    exact up to rounding, where ``Q`` is the piecewise cubic with nodes ``s``
+    and the rows ``coef`` of :func:`_cubic_coefficients` (pp-form; de Boor,
+    *A Practical Guide to Splines*, 2001).  ``shift`` and ``k`` are numbers
+    or 1-d arrays that broadcast together; one minimum and one maximum is
+    returned per shift, as arrays.
+
+    ``D`` is cubic between the nodes and the nodes moved by ``-shift``.  The
+    grid is log-uniform, so each interval holds one moved node, found by the
+    index arithmetic of :func:`_spline_intervals`, and is cut there once.  On
+    each piece the range of ``D`` comes from its ends and the real roots of
+    its derivative's quadratic, taken by the stable formula
+    ``q = -(b + sign(b)*sqrt(b*b - 4ac))/2``, roots ``q/a`` and ``c/q``.
+    """
+    shift = np.asarray(shift, dtype=float).reshape(-1, 1)
+    k = np.asarray(k, dtype=float).reshape(-1, 1, 1)
+    last = s.size - 2
+    first, final = _spline_intervals(s, np.array([s_lo, s_hi]))
+    node = s[first:final + 1]
+    lo = node.copy()
+    lo[0] = s_lo
+    hi = s[first + 1:final + 2].copy()
+    hi[-1] = s_hi
+    moved = _spline_intervals(s, lo + shift)
+    cut = np.clip(s[moved + 1] - shift, lo, hi)
+    # [:, 0]: D on [lo, cut], where Q(x + shift) reads interval `moved`;
+    # [:, 1]: D on [cut, hi], where it reads the next, unless the piece is
+    # empty (the window ends before the moved node).  Both are cubics in
+    # u = x - node, the variable of the interval Q(x) reads, with the rows
+    # d0..d3 of D = d0 + u*(d1 + u*(d2 + u*d3)).
+    moved = np.stack([moved, np.minimum(moved + (cut < hi), last)], axis=1)
+    # the large arrays are updated in place: at these sizes a fresh
+    # temporary costs about as much to allocate as to compute
+    d = np.take(coef, moved, axis=1)
+    tau = node + shift[:, None] - np.take(s, moved)
+    # Q(x + shift) is the cubic of interval `moved` at u + tau: re-expand it
+    # in powers of u (a Taylor shift by synthetic division)
+    for i in range(3):
+        for j in range(2, i - 1, -1):
+            d[j] += tau * d[j + 1]
+    d -= k * coef[:, None, None, first:final + 1]
+    d0, d1, d2, d3 = d
+    start = np.stack([np.broadcast_to(lo, cut.shape), cut], axis=1) - node
+    end = np.stack([cut, np.broadcast_to(hi, cut.shape)], axis=1) - node
+    # D' = d1 + 2*d2*u + 3*d3*u**2; a root off the piece (or none, nan) is
+    # moved to the piece's nearer end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = 3.0 * d3
+        q = -(d2 + np.copysign(np.sqrt(d2 * d2 - a * d1), d2))
+        roots = (np.divide(q, a, out=a), np.divide(d1, q, out=q))
+    # the pieces' starts are every breakpoint but the window's right end
+    x = end[:, 1, -1]
+    right = d0[:, 1, -1] + x * (d1[:, 1, -1] + x * (d2[:, 1, -1] + x * d3[:, 1, -1]))
+    lows, highs = [right], [right]
+    for u in (start, *(np.fmax(start, np.fmin(root, end, out=root), out=root) for root in roots)):
+        value = d3 * u
+        for c in (d2, d1):
+            value += c
+            value *= u
+        value += d0
+        lows.append(value.min(axis=(1, 2)))
+        highs.append(value.max(axis=(1, 2)))
+    return np.min(lows, axis=0), np.max(highs, axis=0)
+
+
 def _tabulated_phase(tab, radius):
     _check_radii(tab, radius)
     return _spline_eval(tab, np.log(radius))
@@ -361,53 +429,38 @@ def tabulate(spec, r_min, r_max, num=4096):
 # signals this equals the operator norm of the difference of the two
 # multiplier operators, which is what the probing tests cross-check.
 
-# Points per bracket in each round of the polish.  A round narrows every
-# bracket to the argmax's two neighbours, 2/64 of its width, so a bracket of
-# two scan steps (6.8e-4 in log-radius on BandSpec(2)) reaches 1e-10 in five
-# rounds.
+# Points per round of the polish.  A round narrows the bracket to the
+# argmax's two neighbours, 2/64 of its width, so a bracket of two scan steps
+# (6.8e-4 in log-radius on BandSpec(2)) reaches 1e-10 in five rounds.
 _ZOOM_POINTS = 65
 
 
 def _zoom(dist, lo, hi):
-    """Maximize ``dist`` over the log-radius brackets ``[lo[j], hi[j]]``.
+    """The maximum of ``dist`` over the log-radius bracket ``[lo, hi]``.
 
-    ``dist`` maps a ``(k, _ZOOM_POINTS)`` array of radii, row j spanning
-    bracket j, to the distances there.  Each round calls it once and narrows
-    each bracket to the neighbours of its argmax; it stops when every bracket
-    is within 1e-10, so all k brackets share every round.  Returns the
-    value of each bracket's maximum.
+    ``dist`` maps an array of radii to the distances there.  Each round calls
+    it once on ``_ZOOM_POINTS`` radii and narrows the bracket to the
+    neighbours of their argmax, until it is within 1e-10.
     """
-    rows = np.arange(np.size(lo))
     while True:
-        s = np.linspace(lo, hi, _ZOOM_POINTS, axis=-1)
+        s = np.linspace(lo, hi, _ZOOM_POINTS)
         d = dist(np.exp(s))
-        i = np.argmax(d, axis=-1)
-        lo = s[rows, np.maximum(i - 1, 0)]
-        hi = s[rows, np.minimum(i + 1, _ZOOM_POINTS - 1)]
-        if np.all(hi - lo <= 1e-10):
-            return d[rows, i]
-
-
-def _band_log_grid(band):
-    """``(s, r)``: ``_SCAN_POINTS`` radii ``r = e**s`` evenly spaced in
-    log-radius across the band."""
-    s = np.linspace(-np.log(band.R), np.log(band.R), _SCAN_POINTS)
-    return s, np.exp(s)
-
-
-def _brackets(s, i):
-    """Log-radius brackets of the scan points ``i``: their two neighbours."""
-    return s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, s.size - 1)]
+        i = int(np.argmax(d))
+        lo = s[max(i - 1, 0)]
+        hi = s[min(i + 1, _ZOOM_POINTS - 1)]
+        if hi - lo <= 1e-10:
+            return float(d[i])
 
 
 def band_sup_distance(m1, m2, band):
     """Max of |m1(r) - m2(r)| over R**-1 <= r <= R.
 
     Exact for two closed forms with one exponent: their ratio is a single
-    power-law phase, whose sup has a closed form.  Otherwise a 4096-point log
-    grid across the band locates the maximum and a bracket zoom refines it to
-    ~1e-10 in the log-radius.  Equals the operator norm of the difference
-    restricted to the band.
+    power-law phase, whose sup has a closed form.  Other pairs have no common
+    pp-form (a table against a closed form or another table, or two
+    exponents): a 4096-point log grid across the band locates the maximum
+    and a bracket zoom refines it to ~1e-10 in the log-radius.  Equals the
+    operator norm of the difference restricted to the band.
     """
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
         return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
@@ -420,18 +473,18 @@ def _scanned_sup_distance(m1, m2, band):
     def dist(r):
         return np.abs(evaluate(m1, r) - evaluate(m2, r))
 
-    s, r = _band_log_grid(band)
-    d = dist(r)
+    s = np.linspace(-np.log(band.R), np.log(band.R), _SCAN_POINTS)
+    d = dist(np.exp(s))
     i = int(np.argmax(d))
-    polished = _zoom(dist, *_brackets(s, np.array([i])))
-    return max(float(polished[0]), float(d[i]))
+    return max(_zoom(dist, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]), float(d[i]))
 
 
 # ---------------------------------------------------------------------------
 # Local uniform continuity: modulus of the symbol under small log-scale shifts.
 
 class ContinuityReport:
-    """Sampled modulus of continuity under dilation and a heuristic flag."""
+    """Modulus of continuity under dilation at the grid epsilons, the
+    Lipschitz threshold it is compared against, and the LUC flag."""
 
     __slots__ = ("eps", "omega", "luc_flag", "threshold")
 
@@ -452,63 +505,47 @@ class ContinuityReport:
         )
 
 
-def _phase_slope_bound(spec, band, eps_max):
-    lo = np.log(1.0 / band.R) - eps_max
-    hi = np.log(band.R) + eps_max
-    s = np.linspace(lo, hi, _SCAN_POINTS)
-    ph = phase(spec, np.exp(s))
-    return float(np.max(np.abs(np.diff(ph))) / (s[1] - s[0]))
-
-
-def _dilation_sup_distances(spec, lams, band):
-    """``band_sup_distance(dilate(spec, lam), spec, band)`` for each ``lam``,
-    read as ``|m(lam*r) - m(r)|`` on the parent's radii.
-
-    m(r) is evaluated once on the band scan and each m(lam*r) against it, one
-    row at a time, so the scan holds one row of distances at once; one
-    :func:`_zoom` then polishes the maxima of all rows together.
-    """
-    s, r = _band_log_grid(band)
-    base = evaluate(spec, r)
-    peak = np.empty(lams.size)
-    at = np.empty(lams.size, dtype=np.intp)
-    for j, lam in enumerate(lams):
-        d = np.abs(evaluate(spec, lam * r) - base)
-        at[j] = np.argmax(d)
-        peak[j] = d[at[j]]
-    polished = _zoom(lambda rr: np.abs(evaluate(spec, lams[:, None] * rr) - evaluate(spec, rr)),
-                     *_brackets(s, at))
-    return np.maximum(polished, peak)
-
-
 def continuity_modulus(spec, band, eps_grid):
     """omega(eps) = sup over |log lam| <= eps of the band sup distance between
-    the rescaled and original symbol, sampled at the grid epsilons.
+    the rescaled and original symbol, at the grid epsilons.
 
     Each positive epsilon contributes lam = e**eps and e**-eps.  Closed forms
-    take the exact chord sup of :func:`band_sup_distance` per lam.  Other
-    specs share one evaluation of m(r) on the 4096-point band scan, evaluate m(lam*r)
-    against it row by row and polish all 2k maxima in one joint zoom, so the
-    zoom's evaluations do not grow with the number of epsilons.
+    take the exact chord sup of :func:`band_sup_distance` per lam.  A table's
+    phase P is a spline in s = log r, so P(s + log lam) - P(s) is piecewise
+    cubic: its exact range over the band gives the exact sup per lam.
 
-    The flag compares omega at the smallest epsilon against a slope-based
-    threshold (clipped to [1e-6, 1]), the slope read on a 4096-point scan of
-    the band widened by the largest epsilon; it detects discontinuity, it
-    does not prove continuity.
+    The flag compares omega at the smallest epsilon against ten times the
+    Lipschitz bound eps*max|P'|, clipped to [1e-6, 1], with max|P'| exact
+    over the band widened by the largest epsilon: |alpha*beta|*e**(alpha*s)
+    at its ends for a closed form, the quadratic pieces of the spline's
+    derivative for a table.  Since omega(eps) <= eps*max|P'|, the flag is
+    false only where omega exceeds 1 at the smallest epsilon: a jump that
+    epsilon does not resolve.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))
-    if eps.size == 0 or np.any(eps < 0):
-        raise InvalidInputError("eps grid must be non-negative")
+    if eps.size == 0 or not np.all(np.isfinite(eps)) or np.any(eps < 0):
+        raise InvalidInputError("eps grid must be finite and non-negative")
     positive = eps[eps > 0]
-    lams = np.array([float(np.exp(sign * e)) for e in positive for sign in (1.0, -1.0)])
-    if isinstance(spec, ClosedForm) or positive.size == 0:
-        dist = np.array([band_sup_distance(dilate(spec, lam), spec, band) for lam in lams])
+    shifts = [sign * e for e in positive for sign in (1.0, -1.0)]  # log lam
+    s_band = np.log(band.R)
+    wide = np.array([-s_band - eps[-1], s_band + eps[-1]])
+    if isinstance(spec, ClosedForm):
+        dist = [band_sup_distance(dilate(spec, float(np.exp(x))), spec, band) for x in shifts]
+        slope = abs(spec.alpha) * float(np.max(np.abs(phase(spec, np.exp(wide)))))
+    elif isinstance(spec, Tabulated):
+        _check_radii(spec, np.exp(wide))
+        dist = []
+        if shifts:
+            dist = list(map(_chord_sup, *_pp_difference_range(spec.s, spec._coef, shifts, 1.0,
+                                                               -s_band, s_band)))
+        _, c1, c2, c3 = spec._coef
+        derivative = np.stack([c1, 2.0 * c2, 3.0 * c3, np.zeros_like(c3)])
+        slope = float(np.max(np.abs(_pp_difference_range(spec.s, derivative, 0.0, 0.0, *wide))))
     else:
-        dist = _dilation_sup_distances(spec, lams, band)
+        raise InvalidInputError(f"not a multiplier spec: {spec!r}")
     per_eps = np.zeros(eps.size)
-    per_eps[eps.size - positive.size:] = dist.reshape(-1, 2).max(axis=1)
+    per_eps[eps.size - positive.size:] = np.reshape(dist, (-1, 2)).max(axis=1)
     omega = np.maximum.accumulate(per_eps)
-    slope = _phase_slope_bound(spec, band, float(eps[-1]))
     smallest = positive[0] if positive.size else 0.0
     luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
     return ContinuityReport(eps, omega, omega[0] <= luc_threshold, luc_threshold)
@@ -608,7 +645,13 @@ def _power_phase_chord_sup(coef, alpha, r_lo, r_hi):
         th1 = th2 = np.inf
     if not (np.isfinite(th1) and np.isfinite(th2)):
         raise _phase_overflow(coef, alpha, r_lo, r_hi)
-    lo, hi = (th1, th2) if th1 <= th2 else (th2, th1)
+    return _chord_sup(min(th1, th2), max(th1, th2))
+
+
+def _chord_sup(lo, hi):
+    """Sup of |exp(i*theta) - 1| = 2|sin(theta/2)| over theta in [lo, hi]:
+    2 when the interval holds an odd multiple of pi, else the larger of its
+    ends' values."""
     if hi - lo >= 2.0 * np.pi:
         return 2.0
     k = int(np.ceil(lo / np.pi))

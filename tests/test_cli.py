@@ -1,14 +1,19 @@
 """CLI surface: flags, exit codes, JSON determinism, file handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import fracprop as fp
 import fracprop.errors as errors
@@ -169,6 +174,24 @@ def test_evolve_overflowing_spectrum_is_a_usage_error(tmp_path, capsys):
     proc = run_cli_process(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == result
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+@pytest.mark.parametrize("row", [0, 128, 200])
+def test_evolve_overflowing_inverse_is_a_usage_error(tmp_path, capsys, row):
+    # one sample of 1.5e308 on 256 rows at dx = 2: the spectrum is finite,
+    # the inverse transform of its band bins is not, and numpy's overflow
+    # warnings are not printed ahead of the error
+    values = np.zeros(256, dtype=complex)
+    values[row] = 1.5e308
+    src = tmp_path / "spike.csv"
+    fp.save_signal_csv(src, fp.SampledSignal(fp.SpatialGrid(256, 256.0), values))
+    argv = ["evolve", "--alpha", "2", "--beta", "1", "--t", "1", "--band", "1.3",
+            "--input", str(src), "--output", str(tmp_path / "o.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, argv)
+    assert result == (cli.EXIT_USAGE, "", "error: samples contain non-finite values\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spike.csv"]
 
 
 def test_evolve_huge_finite_samples_report_their_norm(tmp_path, capsys):
@@ -444,6 +467,101 @@ def test_missing_input_file_is_a_usage_error(tmp_path, capsys, command, kind):
     assert code == cli.EXIT_USAGE and stdout == ""
     assert err == f"error: {kind} file not found: {path}\n"
     assert not out.exists()
+
+
+# Values every numeric option and table cell of the contract test draws from.
+CONTRACT_NUMBERS = ["0", "1", "-1", "2", "0.5", "3", "1e-320", "1e300", "-1e308", "1.5e308",
+                    "nan", "inf", "-inf"]
+# How the contract test spoils an input file (one in four files is valid).
+CONTRACT_INPUTS = ["valid"] * 3 + ["number", "empty", "header-only", "ragged", "not-utf8",
+                                   "directory", "missing"]
+
+
+def _contract_input(directory, command, kind, cell, number):
+    """The input file of ``command``, spoiled as ``kind`` says: one table
+    cell (or one term coefficient) replaced by ``number``, or the whole file."""
+    path = directory / "input"
+    if kind == "directory":
+        path.mkdir()
+        return path
+    if kind == "missing":
+        return path
+    if command == "classify":
+        terms = [{"alpha": 2.0, "beta": 1.0}, {"alpha": 2.0, "beta": -1.0}]
+        text = json.dumps(terms)
+        if kind == "number":
+            # json reads NaN and Infinity; the number stands in a coefficient
+            literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(number, number)
+            text = text.replace("-1.0", literal)
+        header, lines = None, [text]
+    else:
+        n = 256
+        if command == "evolve":
+            header, column = "x,re,im", (np.arange(n) - n // 2) * 0.25
+            values = np.exp(-(column / 2.0) ** 2) * np.exp(1j * column)
+        else:
+            header, column = "r,re,im", np.exp(np.linspace(-2.0, 2.0, n))
+            values = np.exp(1j * column)  # semistable for the pair (2, 3)
+        rows = [[f"{c:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"] for c, v in zip(column, values)]
+        if kind == "number":
+            rows[cell % n][cell % 3] = number
+        if kind == "ragged":
+            del rows[cell % n][-1]
+        lines = [header] + [",".join(row) for row in rows]
+    if kind == "empty":
+        lines = []
+    if kind == "header-only":
+        lines = lines[:1] if header else ["[]"]
+    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    if kind == "not-utf8":
+        data += b"caf\xe9\n"
+    path.write_bytes(data)
+    return path
+
+
+@seed(2024)
+@settings(max_examples=100, deadline=None)
+@example("evolve", ["2", "1", "1", "0"], "valid", 0, True)
+@example("evolve", ["2", "1", "1", "1.5e308"], "number", 1, True)
+@example("identify", ["0", "0", "0", "0"], "valid", 0, True)
+@example("classify", ["0", "0", "0", "nan"], "number", 0, False)
+@given(
+    st.sampled_from(["evolve", "identify", "verify", "classify"]),
+    st.lists(st.sampled_from(CONTRACT_NUMBERS), min_size=4, max_size=4),
+    st.sampled_from(CONTRACT_INPUTS),
+    st.integers(0, 767),
+    st.booleans(),
+)
+def test_every_command_exits_cleanly_on_any_input(command, numbers, kind, cell, flag):
+    # whatever the numbers on the command line and whatever the input file,
+    # a command exits 0..6 without a traceback; a failure prints one
+    # "error:" line and leaves no output file
+    n1, n2, n3, n4 = numbers
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        out = directory / "out.csv"
+        path = str(_contract_input(directory, command, kind, cell, n4))
+        # "--opt=value": argparse takes a lone "-1e308" or "-inf" for an option
+        argv = {
+            "evolve": ["evolve", f"--alpha={n1}", f"--beta={n2}", f"--t={n3}",
+                       f"--band={'2' if flag else n4}", "--input", path, "--output", str(out)],
+            "identify": ["identify", "--symbol", path] + (
+                ["--a=2", "--b=3"] if flag else [f"--a={n1}", f"--b={n2}", f"--tol={n3}"]),
+            "verify": ["verify", f"--alpha={n1}", f"--beta={n2}", "--seed", "7"] + (
+                ["--fast"] if flag else []),
+            "classify": ["classify", "--terms", path] + ([f"--alpha-tol={n1}"] if flag else []),
+        }[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        assert code in range(7), (argv, code, err)
+        assert "Traceback" not in err
+        if code != cli.EXIT_OK:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not out.exists()
+        left = sorted(p.name for p in directory.iterdir())
+        assert not [name for name in left if name.endswith(".tmp")], left
 
 
 def test_verify_cli_pass_and_determinism(capsys):

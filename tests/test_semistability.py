@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fracprop as fp
 import fracprop.semistability as semistability
+import fracprop.symbols as symbols
 from fracprop.errors import DomainError, SymbolRangeError
 from conftest import band_packet, relative_l2
 
@@ -97,12 +100,61 @@ def test_check_semistable_tabulated():
 
 
 def test_check_semistable_tabulated_evaluates_m_once(evaluate_calls):
-    # m(r) is shared by both relations: m(r), m(a*r), m(b*r) and the two
-    # sides of the symmetry check
+    # both relations are read from the spline's coefficients, not from
+    # samples: the only evaluations are the two sides of the symmetry check
     tab = fp.tabulate(fp.ClosedForm(0.5, 1.5), np.exp(-4.0), np.exp(4.0), 4096)
     evaluate_calls.clear()
     fp.check_semistable(tab, fp.canonical_pair(0.5), tol=1e-8)
-    assert len(evaluate_calls) == 5
+    assert len(evaluate_calls) == 2
+
+
+def _dense_residuals(tab, pair, r_range, num=2_000_000):
+    """The largest |m(lam*r) - m(r)**k| = 2|sin(D/2)| of D = P(s + log lam)
+    - k*P(s) on ``num`` log-uniform points of ``r_range``, for (a, 2) and
+    (b, 3), from the spline phase P."""
+    s = np.linspace(np.log(r_range[0]), np.log(r_range[1]), num)
+    base = symbols._spline_eval(tab, s)
+    return [float(np.max(2.0 * np.abs(np.sin(
+                (symbols._spline_eval(tab, s + np.log(lam)) - k * base) / 2.0))))
+            for lam, k in ((pair.a, 2.0), (pair.b, 3.0))]
+
+
+def test_check_semistable_sees_a_glitch_between_the_check_radii():
+    # exp(i*r) on 65536 nodes with 1e-7 rad added at one node: the check
+    # radii straddle the glitch's few intervals, and the interpolant's
+    # residuals are about 1e-7 times 2 and 3
+    r = np.exp(np.linspace(-3.0, 3.0, 65536))
+    phase = r.copy()
+    phase[32830] += 1e-7
+    tab = fp.Tabulated(r, np.exp(1j * phase))
+    pair = fp.canonical_pair(1.0)
+    rep = fp.check_semistable(tab, pair, tol=1e-9)
+    assert not rep.passed
+    dense2, dense3 = _dense_residuals(tab, pair, rep.r_range)
+    assert dense2 == pytest.approx(2e-7, rel=0.01) and dense3 == pytest.approx(3e-7, rel=0.01)
+    assert rep.res2 == pytest.approx(dense2, rel=0.01)
+    assert rep.res3 == pytest.approx(dense3, rel=0.01)
+
+
+@seed(22)
+@settings(max_examples=5, deadline=None)
+@given(
+    st.floats(0.5, 1.6),
+    st.floats(0.3, 2.5),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([512, 1024, 4096]),
+    st.sampled_from([(1.0, 1.0), (1.0 + 1e-3, 1.0), (1.0, 1.0 - 1e-6), (1.0 + 1e-9, 1.0)]),
+)
+def test_check_semistable_tabulated_matches_a_dense_evaluation(alpha, beta, sign, nodes, scale):
+    # the exact residuals of a power-law table bound every dense sample of
+    # the interpolant's residual and are within 2% of their maximum, from
+    # round-off (canonical pair) to 1e-2 (a perturbed by 1e-3)
+    tab = fp.tabulate(fp.ClosedForm(alpha, sign * beta), np.exp(-3.0), np.exp(3.0), nodes)
+    canonical = fp.canonical_pair(alpha)
+    pair = fp.SemistablePair(canonical.a * scale[0], canonical.b * scale[1])
+    rep = fp.check_semistable(tab, pair, tol=1e-9)
+    for exact, dense in zip((rep.res2, rep.res3), _dense_residuals(tab, pair, rep.r_range)):
+        assert dense - 1e-13 <= exact <= dense * 1.02 + 1e-13
 
 
 def test_check_semistable_tabulated_range_too_small():

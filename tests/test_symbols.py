@@ -475,7 +475,8 @@ def test_continuity_modulus_detects_sign_flip():
 
 
 def _continuity_oracle(spec, band, eps):
-    """omega from one band_sup_distance per dilation, as its definition reads."""
+    """omega from one band_sup_distance per dilation, as its definition reads;
+    for a table that is the band scan and zoom, not the exact range."""
     per_eps = [max(fp.band_sup_distance(fp.dilate(spec, float(np.exp(e))), spec, band),
                    fp.band_sup_distance(fp.dilate(spec, float(np.exp(-e))), spec, band))
                for e in eps]
@@ -501,14 +502,21 @@ def test_continuity_modulus_matches_per_dilation_sup_distances(kind):
 
 @pytest.mark.parametrize("eps_count", [1, 3, 8])
 def test_continuity_modulus_evaluate_calls(evaluate_calls, eps_count):
-    # one evaluation of m(r) on the band scan, one of m(lam*r) per dilation,
-    # and a joint zoom whose rounds do not depend on the number of epsilons
+    # every dilation's sup and the slope bound are read from the spline's
+    # coefficients, so a table is never evaluated, however many epsilons
     spec = CONTINUITY_SPECS["tabulated"]
     eps = np.geomspace(1e-4, 1e-2, eps_count)
     evaluate_calls.clear()
     fp.continuity_modulus(spec, fp.BandSpec(2.0), eps)
-    zoom = len(evaluate_calls) - 1 - 2 * eps_count
-    assert zoom == 8
+    assert len(evaluate_calls) == 0
+
+
+@pytest.mark.parametrize("eps", [[np.nan], [1e-3, np.inf], [-np.inf, 1e-3], [1e-3, -1e-3], []])
+@pytest.mark.parametrize("spec", [fp.ClosedForm(0.8, 1.3), CONTINUITY_SPECS["tabulated"]],
+                         ids=["closed-form", "tabulated"])
+def test_continuity_modulus_refuses_a_bad_eps_grid(spec, eps):
+    with pytest.raises(InvalidInputError, match="^eps grid must be finite and non-negative$"):
+        fp.continuity_modulus(spec, fp.BandSpec(2.0), eps)
 
 
 def test_symbol_csv_roundtrip_and_validation(tmp_path):
