@@ -184,11 +184,42 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidInputError, so
+    :func:`main` prints them as one ``error:`` line like any library error."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_negative_numbers(argv):
+    """``argv`` with each value that starts with ``-`` and reads as a float
+    joined to the option before it (``--beta -1e-3`` -> ``--beta=-1e-3``):
+    argparse would take ``-1e-3`` or ``-inf`` for an option.  No fracprop
+    option is named like a number, so nothing else changes."""
+    out = []
+    for token in argv:
+        if (token.startswith("-") and _is_float(token) and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def build_parser():
     """The ``fracprop`` argument parser, built once per process; parsing
     leaves it unchanged, so every :func:`main` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracprop",
         description="Band-limited spectral multiplier operators: evolve, identify, verify, classify.",
     )
@@ -228,13 +259,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = _glue_negative_numbers(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except FracpropError as exc:
         return _fail(str(exc), next(code for types, code in _EXIT_CODES
                                     if isinstance(exc, types)))

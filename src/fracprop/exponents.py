@@ -91,16 +91,17 @@ def classify_product(terms, alpha_tol=0.0):
     """Classify whether the product of the terms is identically one.
 
     ``alpha_tol`` states when two exponents count as equal (0 = bitwise); use
-    e.g. 1e-9 for exponents coming out of a numerical fit.  The verdict labels
-    the small cases (single/pair/triple) by which cancellation pattern holds,
-    uses ``general`` for longer identity products, and records a scan witness
-    radius whenever the product is not the identity.
+    e.g. 1e-9 for exponents coming out of a numerical fit.  It must be finite
+    and non-negative.  The verdict labels the small cases (single/pair/triple)
+    by which cancellation pattern holds, uses ``general`` for longer identity
+    products, and records a scan witness radius whenever the product is not
+    the identity.
     """
     terms = list(terms)
     if not terms:
         raise InvalidInputError("need at least one term")
-    if alpha_tol < 0:
-        raise InvalidInputError("alpha tolerance must be >= 0")
+    if not 0.0 <= alpha_tol < np.inf:
+        raise InvalidInputError(f"alpha tolerance must be finite and >= 0, got {alpha_tol}")
     for t in terms:
         if t.beta == 0.0:
             raise DomainError("classification requires every coefficient nonzero")

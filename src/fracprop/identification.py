@@ -197,13 +197,18 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6):
 
     ``tol`` is both the identity threshold on sup|m - 1| and the final
     reconstruction tolerance; ``pair_tol`` bounds |a**alpha - 2| and
-    |b**alpha - 3| for the recovered exponent.  Raises typed errors for the
+    |b**alpha - 3| for the recovered exponent.  Both must be finite and
+    non-negative: a nan tolerance would accept any profile, and an infinite
+    one would call any profile the identity.  Raises typed errors for the
     failure modes: branch trouble (wrong pair, offsets beyond ``BRANCH_TOL``),
     sign changes of the lifted phase (no power law), and reconstruction
     mismatch.
     """
     if not isinstance(profile, Tabulated):
         raise InvalidInputError("identification needs a tabulated radial profile")
+    for name, value in (("tol", tol), ("pair_tol", pair_tol)):
+        if not 0.0 <= value < np.inf:
+            raise InvalidInputError(f"tolerance {name} must be finite and >= 0, got {value}")
 
     if float(np.max(np.abs(profile.values - 1.0))) <= tol:
         return IdentificationResult(0.0, 0.0, 0, 0, None, 0.0, None, True)

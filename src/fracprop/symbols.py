@@ -483,12 +483,16 @@ def _scanned_sup_distance(m1, m2, band):
 # Local uniform continuity: modulus of the symbol under small log-scale shifts.
 
 class ContinuityReport:
-    """Modulus of continuity under dilation at the grid epsilons, the
-    Lipschitz threshold it is compared against, and the LUC flag."""
+    """Modulus of continuity under dilation at the grid epsilons and the LUC
+    flag: false where the symbol moves by more than 1 under a dilation by the
+    smallest epsilon, a jump that epsilon does not resolve.
 
-    __slots__ = ("eps", "omega", "luc_flag", "threshold")
+    A fourth argument, the threshold earlier reports carried, is accepted
+    and ignored, so callers that still pass it keep working."""
 
-    def __init__(self, eps, omega, luc_flag, threshold):
+    __slots__ = ("eps", "omega", "luc_flag")
+
+    def __init__(self, eps, omega, luc_flag, threshold=None):
         eps = np.asarray(eps, dtype=float)
         omega = np.asarray(omega, dtype=float)
         eps.setflags(write=False)
@@ -496,13 +500,9 @@ class ContinuityReport:
         self.eps = eps
         self.omega = omega
         self.luc_flag = bool(luc_flag)
-        self.threshold = float(threshold)
 
     def __repr__(self):
-        return (
-            f"ContinuityReport(omega_min={self.omega[0]:.3g}, "
-            f"threshold={self.threshold:.3g}, luc={self.luc_flag})"
-        )
+        return f"ContinuityReport(omega_min={self.omega[0]:.3g}, luc={self.luc_flag})"
 
 
 def continuity_modulus(spec, band, eps_grid):
@@ -512,15 +512,13 @@ def continuity_modulus(spec, band, eps_grid):
     Each positive epsilon contributes lam = e**eps and e**-eps.  Closed forms
     take the exact chord sup of :func:`band_sup_distance` per lam.  A table's
     phase P is a spline in s = log r, so P(s + log lam) - P(s) is piecewise
-    cubic: its exact range over the band gives the exact sup per lam.
+    cubic: its exact range over the band gives the exact sup per lam.  The
+    symbol must reach the band widened by the largest epsilon: a table must
+    hold it, and a closed form's phase must stay finite at its ends.
 
-    The flag compares omega at the smallest epsilon against ten times the
-    Lipschitz bound eps*max|P'|, clipped to [1e-6, 1], with max|P'| exact
-    over the band widened by the largest epsilon: |alpha*beta|*e**(alpha*s)
-    at its ends for a closed form, the quadratic pieces of the spline's
-    derivative for a table.  Since omega(eps) <= eps*max|P'|, the flag is
-    false only where omega exceeds 1 at the smallest epsilon: a jump that
-    epsilon does not resolve.
+    The flag is ``omega[0] <= 1``.  It is false where a dilation by the
+    smallest epsilon moves the phase by more than pi/3 somewhere on the band
+    (|exp(i*D) - 1| = 2|sin(D/2)| > 1): a jump that epsilon does not resolve.
     """
     eps = np.sort(np.asarray(eps_grid, dtype=float))
     if eps.size == 0 or not np.all(np.isfinite(eps)) or np.any(eps < 0):
@@ -528,27 +526,22 @@ def continuity_modulus(spec, band, eps_grid):
     positive = eps[eps > 0]
     shifts = [sign * e for e in positive for sign in (1.0, -1.0)]  # log lam
     s_band = np.log(band.R)
-    wide = np.array([-s_band - eps[-1], s_band + eps[-1]])
+    wide = np.exp([-s_band - eps[-1], s_band + eps[-1]])
     if isinstance(spec, ClosedForm):
         dist = [band_sup_distance(dilate(spec, float(np.exp(x))), spec, band) for x in shifts]
-        slope = abs(spec.alpha) * float(np.max(np.abs(phase(spec, np.exp(wide)))))
+        phase(spec, wide)  # raises DomainError where it overflows
     elif isinstance(spec, Tabulated):
-        _check_radii(spec, np.exp(wide))
+        _check_radii(spec, wide)
         dist = []
         if shifts:
             dist = list(map(_chord_sup, *_pp_difference_range(spec.s, spec._coef, shifts, 1.0,
                                                                -s_band, s_band)))
-        _, c1, c2, c3 = spec._coef
-        derivative = np.stack([c1, 2.0 * c2, 3.0 * c3, np.zeros_like(c3)])
-        slope = float(np.max(np.abs(_pp_difference_range(spec.s, derivative, 0.0, 0.0, *wide))))
     else:
         raise InvalidInputError(f"not a multiplier spec: {spec!r}")
     per_eps = np.zeros(eps.size)
     per_eps[eps.size - positive.size:] = np.reshape(dist, (-1, 2)).max(axis=1)
     omega = np.maximum.accumulate(per_eps)
-    smallest = positive[0] if positive.size else 0.0
-    luc_threshold = min(max(10.0 * smallest * slope, 1e-6), 1.0)
-    return ContinuityReport(eps, omega, omega[0] <= luc_threshold, luc_threshold)
+    return ContinuityReport(eps, omega, omega[0] <= 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -521,35 +521,44 @@ def _contract_input(directory, command, kind, cell, number):
 
 @seed(2024)
 @settings(max_examples=100, deadline=None)
-@example("evolve", ["2", "1", "1", "0"], "valid", 0, True)
-@example("evolve", ["2", "1", "1", "1.5e308"], "number", 1, True)
-@example("identify", ["0", "0", "0", "0"], "valid", 0, True)
-@example("classify", ["0", "0", "0", "nan"], "number", 0, False)
+@example("evolve", ["2", "1", "1", "0"], "valid", 0, True, True)
+@example("evolve", ["2", "1", "1", "1.5e308"], "number", 1, True, True)
+@example("identify", ["0", "0", "0", "0"], "valid", 0, True, True)
+@example("classify", ["0", "0", "0", "nan"], "number", 0, False, True)
+@example("verify", ["2", "-1e308", "0", "0"], "valid", 0, True, False)
+@example("identify", ["2", "3", "-inf", "0"], "valid", 0, False, False)
 @given(
     st.sampled_from(["evolve", "identify", "verify", "classify"]),
     st.lists(st.sampled_from(CONTRACT_NUMBERS), min_size=4, max_size=4),
     st.sampled_from(CONTRACT_INPUTS),
     st.integers(0, 767),
     st.booleans(),
+    st.booleans(),
 )
-def test_every_command_exits_cleanly_on_any_input(command, numbers, kind, cell, flag):
-    # whatever the numbers on the command line and whatever the input file,
-    # a command exits 0..6 without a traceback; a failure prints one
-    # "error:" line and leaves no output file
+def test_every_command_exits_cleanly_on_any_input(command, numbers, kind, cell, flag, joined):
+    # whatever the numbers on the command line, written "--opt=value" or
+    # "--opt value", and whatever the input file, a command exits 0..6
+    # without a traceback; a failure prints one "error:" line and leaves no
+    # output file
     n1, n2, n3, n4 = numbers
+
+    def opt(name, value):
+        return [f"{name}={value}"] if joined else [name, value]
+
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         out = directory / "out.csv"
         path = str(_contract_input(directory, command, kind, cell, n4))
-        # "--opt=value": argparse takes a lone "-1e308" or "-inf" for an option
         argv = {
-            "evolve": ["evolve", f"--alpha={n1}", f"--beta={n2}", f"--t={n3}",
-                       f"--band={'2' if flag else n4}", "--input", path, "--output", str(out)],
+            "evolve": ["evolve", *opt("--alpha", n1), *opt("--beta", n2), *opt("--t", n3),
+                       *opt("--band", "2" if flag else n4), "--input", path,
+                       "--output", str(out)],
             "identify": ["identify", "--symbol", path] + (
-                ["--a=2", "--b=3"] if flag else [f"--a={n1}", f"--b={n2}", f"--tol={n3}"]),
-            "verify": ["verify", f"--alpha={n1}", f"--beta={n2}", "--seed", "7"] + (
+                ["--a=2", "--b=3"] if flag
+                else [*opt("--a", n1), *opt("--b", n2), *opt("--tol", n3)]),
+            "verify": ["verify", *opt("--alpha", n1), *opt("--beta", n2), "--seed", "7"] + (
                 ["--fast"] if flag else []),
-            "classify": ["classify", "--terms", path] + ([f"--alpha-tol={n1}"] if flag else []),
+            "classify": ["classify", "--terms", path] + (opt("--alpha-tol", n1) if flag else []),
         }[command]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -562,6 +571,65 @@ def test_every_command_exits_cleanly_on_any_input(command, numbers, kind, cell, 
             assert not out.exists()
         left = sorted(p.name for p in directory.iterdir())
         assert not [name for name in left if name.endswith(".tmp")], left
+
+
+@pytest.mark.parametrize("beta", ["-1e-3", "-1", "-.5", "-1E+0", "-inf"])
+def test_negative_value_after_a_space_reads_as_the_value(capsys, beta):
+    # argparse alone takes "-1e-3" and "-inf" for options
+    base = ["verify", "--alpha", "2", "--seed", "7", "--fast"]
+    spaced = run_cli(capsys, base + ["--beta", beta])
+    joined = run_cli(capsys, base + [f"--beta={beta}"])
+    assert spaced == joined
+    assert spaced[0] == (cli.EXIT_USAGE if beta == "-inf" else cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["verify", "--alpha", "2", "--beta", "1", "--bogus"],
+    ["verify", "--alpha", "2", "--beta"],
+    ["verify", "--alpha", "2", "--beta", "abc"],
+    ["verify", "--alpha", "2"],
+    ["verify", "--alpha", "2", "--beta", "1", "--fast", "-1"],
+    ["classify", "--terms"],
+])
+def test_usage_error_prints_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--help"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith("usage: fracprop verify")
+
+
+def test_identify_cli_refuses_a_nan_tolerance(tmp_path, capsys):
+    # the ripple of 1e-6 leaves a reconstruction error of about 3e-6: a
+    # model mismatch at the default tolerance, which --tol=nan once accepted
+    r = np.exp(np.linspace(-3.0, 3.0, 4096))
+    profile = tmp_path / "rippled.csv"
+    fp.save_symbol_csv(profile, fp.Tabulated(
+        r, np.exp(1j * (0.8 * r**1.3 + 1e-6 * np.sin(5.0 * np.log(r))))))
+    a, b = fp.canonical_pair(1.3).a, fp.canonical_pair(1.3).b
+    base = ["identify", "--symbol", str(profile), "--a", repr(a), "--b", repr(b)]
+    assert run_cli(capsys, base)[0] == cli.EXIT_MISMATCH
+    for tol in (["--tol=nan"], ["--tol", "nan"], ["--tol", "-1"], ["--tol=inf"],
+                ["--pair-tol", "nan"]):
+        code, out, err = run_cli(capsys, base + tol)
+        assert (code, out) == (cli.EXIT_USAGE, ""), tol
+        assert err.startswith("error: tolerance ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("alpha_tol", ["nan", "inf", "-1"])
+def test_classify_cli_refuses_a_bad_alpha_tolerance(tmp_path, capsys, alpha_tol):
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps([{"alpha": 2, "beta": 1}, {"alpha": 2.0000001, "beta": -1}]))
+    code, out, err = run_cli(capsys, ["classify", "--terms", str(terms),
+                                      "--alpha-tol", alpha_tol])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: alpha tolerance must be finite and >= 0, got {float(alpha_tol)}\n"
 
 
 def test_verify_cli_pass_and_determinism(capsys):

@@ -139,3 +139,10 @@ def test_agreement_with_oracle_seeded():
             assert len({t.alpha for t in terms}) == 1 and terms[0].alpha != 0
             assert abs(sum(t.beta for t in terms)) <= 1e-12 * sum(abs(t.beta) for t in terms)
     assert disagreements == 0
+
+
+@pytest.mark.parametrize("alpha_tol", [np.nan, np.inf, -1.0])
+def test_alpha_tolerance_must_be_finite_and_non_negative(alpha_tol):
+    # nan grouped as 0 and inf merged the exponents 2 and 2.0000001
+    with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+        fp.classify_product([term(2.0, 1.0), term(2.0000001, -1.0)], alpha_tol=alpha_tol)

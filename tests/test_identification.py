@@ -12,6 +12,7 @@ from fracprop.errors import (
     DegenerateSymbolError,
     InconsistentPairError,
     InsufficientDataError,
+    InvalidInputError,
     ModelMismatchError,
     UnwrapResolutionError,
 )
@@ -284,3 +285,23 @@ def test_identify_flat_phase_is_an_inconsistent_pair():
 def test_identify_requires_tabulated():
     with pytest.raises(Exception):
         fp.identify(fp.ClosedForm(2.0, 1.0), fp.SemistablePair(2.0, 3.0))
+
+
+def _rippled_profile(ripple):
+    r = np.exp(np.linspace(-3.0, 3.0, 4096))
+    return fp.Tabulated(r, np.exp(1j * (0.8 * r**1.3 + ripple * np.sin(5.0 * np.log(r)))))
+
+
+@pytest.mark.parametrize("tol, pair_tol", [(np.nan, 1e-6), (np.inf, 1e-6), (-1.0, 1e-6),
+                                           (1e-9, np.nan), (1e-9, np.inf), (1e-9, -1.0)])
+def test_identify_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol, pair_tol):
+    # a nan tolerance compares false and would accept the rippled profile;
+    # an infinite one would call it the identity
+    prof = _rippled_profile(1e-3)
+    with pytest.raises(InvalidInputError, match="must be finite and >= 0"):
+        fp.identify(prof, fp.canonical_pair(1.3), tol=tol, pair_tol=pair_tol)
+
+
+def test_identify_still_rejects_a_small_ripple_at_the_default_tolerance():
+    with pytest.raises(ModelMismatchError):
+        fp.identify(_rippled_profile(1e-6), fp.canonical_pair(1.3))

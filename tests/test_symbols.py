@@ -474,6 +474,51 @@ def test_continuity_modulus_detects_sign_flip():
     assert not rep.luc_flag
 
 
+@pytest.mark.parametrize("margin, luc", [(-1e-9, True), (1e-9, False)])
+def test_continuity_modulus_flag_is_omega_at_most_one(margin, luc):
+    # on the band of R = 2, a dilation by e**eps moves the phase of r**1 by at
+    # most beta*2*(e**eps - 1), and 2|sin(D/2)| = 1 exactly at D = pi/3
+    eps = 1e-3
+    beta = (np.pi / 3.0) * (1.0 + margin) / (2.0 * np.expm1(eps))
+    rep = fp.continuity_modulus(fp.ClosedForm(1.0, beta), fp.BandSpec(2.0), [eps, 2 * eps])
+    assert bool(rep.omega[0] <= 1.0) is luc
+    assert rep.luc_flag is luc
+
+
+def test_continuity_report_holds_no_threshold():
+    rep = fp.continuity_modulus(fp.ClosedForm(2.0, 1.0), fp.BandSpec(2.0), [1e-3])
+    assert fp.ContinuityReport.__slots__ == ("eps", "omega", "luc_flag")
+    assert repr(rep) == f"ContinuityReport(omega_min={rep.omega[0]:.3g}, luc=True)"
+
+
+def test_continuity_modulus_zero_grid_is_continuous_whatever_the_slope():
+    # no dilation moves anything, so the flag holds even where the phase's
+    # slope at the band's ends, 40 * 1e307, is past the float range
+    rep = fp.continuity_modulus(fp.ClosedForm(40.0, 1e300), fp.BandSpec(10 ** (7 / 40)), [0.0])
+    assert rep.omega.tolist() == [0.0]
+    assert rep.luc_flag
+
+
+def test_continuity_modulus_closed_form_must_reach_the_widened_band():
+    # the phase 1e306*r**2 is finite on the band of R = 10 and on its
+    # widening by 0.2 (r <= 12.2), and overflows on the widening by 0.3
+    spec, band = fp.ClosedForm(2.0, 1e306), fp.BandSpec(10.0)
+    with pytest.raises(DomainError, match=r"^phase 1e\+306\*\|xi\|\*\*2 overflows at \|xi\| = 13\.4986$"):
+        fp.continuity_modulus(spec, band, [0.3])
+    rep = fp.continuity_modulus(spec, band, [0.2])
+    assert rep.omega.tolist() == [2.0]
+    assert not rep.luc_flag
+
+
+def test_continuity_modulus_table_must_hold_the_widened_band():
+    r = log_grid(np.exp(-1.0), np.exp(1.0), 512)
+    spec = fp.Tabulated(r, np.exp(1.3j * r**0.8))
+    band = fp.BandSpec(np.exp(0.9))
+    assert fp.continuity_modulus(spec, band, [0.05]).luc_flag
+    with pytest.raises(SymbolRangeError, match="outside tabulated range"):
+        fp.continuity_modulus(spec, band, [0.05, 0.2])
+
+
 def _continuity_oracle(spec, band, eps):
     """omega from one band_sup_distance per dilation, as its definition reads;
     for a table that is the band scan and zoom, not the exact range."""
@@ -502,8 +547,8 @@ def test_continuity_modulus_matches_per_dilation_sup_distances(kind):
 
 @pytest.mark.parametrize("eps_count", [1, 3, 8])
 def test_continuity_modulus_evaluate_calls(evaluate_calls, eps_count):
-    # every dilation's sup and the slope bound are read from the spline's
-    # coefficients, so a table is never evaluated, however many epsilons
+    # every dilation's sup is read from the spline's coefficients, so a
+    # table is never evaluated, however many epsilons
     spec = CONTINUITY_SPECS["tabulated"]
     eps = np.geomspace(1e-4, 1e-2, eps_count)
     evaluate_calls.clear()
