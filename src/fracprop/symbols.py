@@ -20,15 +20,11 @@ from .grids import _file_bytes, _read_csv_table, _write_csv_table
 # Tabulated radii may be queried this close to the stored endpoints.
 _RANGE_SLACK = 1e-12
 
-# Points of the check window below and of the band scan of
-# band_sup_distance for pairs with no common pp-form.  Tabulated residuals
-# and moduli of continuity read no scan: they are exact over the spline.
-_SCAN_POINTS = 4096
-
 # The window [e^-3, e^3] of the scaling, order and rescaling checks and the
-# exponent-product witness: an exponent mismatch of 1e-3 yields a residual
-# >= 1e-2 there for |beta| >= 0.1.  Closed-form checks read only its ends.
-CHECK_RADII = np.exp(np.linspace(-3.0, 3.0, _SCAN_POINTS))
+# exponent-product witness, on 4096 log-uniform radii: an exponent mismatch
+# of 1e-3 yields a residual >= 1e-2 there for |beta| >= 0.1.  Closed-form
+# checks read only its ends.
+CHECK_RADII = np.exp(np.linspace(-3.0, 3.0, 4096))
 CHECK_RADII.setflags(write=False)
 
 
@@ -429,54 +425,56 @@ def tabulate(spec, r_min, r_max, num=4096):
 # signals this equals the operator norm of the difference of the two
 # multiplier operators, which is what the probing tests cross-check.
 
-# Points per round of the polish.  A round narrows the bracket to the
-# argmax's two neighbours, 2/64 of its width, so a bracket of two scan steps
-# (6.8e-4 in log-radius on BandSpec(2)) reaches 1e-10 in five rounds.
-_ZOOM_POINTS = 65
-
-
-def _zoom(dist, lo, hi):
-    """The maximum of ``dist`` over the log-radius bracket ``[lo, hi]``.
-
-    ``dist`` maps an array of radii to the distances there.  Each round calls
-    it once on ``_ZOOM_POINTS`` radii and narrows the bracket to the
-    neighbours of their argmax, until it is within 1e-10.
-    """
-    while True:
-        s = np.linspace(lo, hi, _ZOOM_POINTS)
-        d = dist(np.exp(s))
-        i = int(np.argmax(d))
-        lo = s[max(i - 1, 0)]
-        hi = s[min(i + 1, _ZOOM_POINTS - 1)]
-        if hi - lo <= 1e-10:
-            return float(d[i])
-
-
 def band_sup_distance(m1, m2, band):
-    """Max of |m1(r) - m2(r)| over R**-1 <= r <= R.
+    """Max of |m1(r) - m2(r)| over R**-1 <= r <= R, exact up to rounding:
+    the operator norm of the difference restricted to the band.
 
-    Exact for two closed forms with one exponent: their ratio is a single
-    power-law phase, whose sup has a closed form.  Other pairs have no common
-    pp-form (a table against a closed form or another table, or two
-    exponents): a 4096-point log grid across the band locates the maximum
-    and a bracket zoom refines it to ~1e-10 in the log-radius.  Equals the
-    operator norm of the difference restricted to the band.
+    The distance is 2|sin(g/2)| for the phase difference g, so the sup comes
+    from the range of g.  For two closed forms that is read at the band's
+    ends and the one radius where g can be stationary; for a table and a
+    dilation of it, which share one spline, it is the exact range of the
+    piecewise cubic ``P(s + shift) - P(s)`` in ``s = log r``.  Any other pair
+    with a table raises DomainError, once each table is checked to hold the
+    band.
     """
-    if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm) and m1.alpha == m2.alpha:
-        return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
-    return _scanned_sup_distance(m1, m2, band)
+    if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm):
+        if m1.alpha == m2.alpha:
+            return _power_phase_chord_sup(m1.beta - m2.beta, m1.alpha, 1.0 / band.R, band.R)
+        return _chord_sup(*_two_power_range(m1, m2, band.R))
+    for m in (m1, m2):
+        if isinstance(m, Tabulated):
+            _check_radii(m, np.array([1.0 / band.R, band.R]))
+        elif not isinstance(m, ClosedForm):
+            raise InvalidInputError(f"not a multiplier spec: {m!r}")
+    if isinstance(m1, Tabulated) and isinstance(m2, Tabulated) and m1._coef is m2._coef:
+        s_band = np.log(band.R)
+        lo, hi = _pp_difference_range(m2.s, m2._coef, m2.s[0] - m1.s[0], 1.0, -s_band, s_band)
+        return _chord_sup(lo[0], hi[0])
+    raise DomainError(f"no exact band sup distance between {m1!r} and {m2!r}: "
+                      f"a table has one only against a dilation of itself")
 
 
-def _scanned_sup_distance(m1, m2, band):
-    """The scan and zoom of :func:`band_sup_distance`, for any two specs."""
-
-    def dist(r):
-        return np.abs(evaluate(m1, r) - evaluate(m2, r))
-
-    s = np.linspace(-np.log(band.R), np.log(band.R), _SCAN_POINTS)
-    d = dist(np.exp(s))
-    i = int(np.argmax(d))
-    return max(_zoom(dist, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]), float(d[i]))
+def _two_power_range(m1, m2, R):
+    """``(min, max)`` over ``[1/R, R]`` of ``g = b1*r**a1 - b2*r**a2``,
+    ``a1 != a2``, whose derivative vanishes only where
+    ``(a1 - a2)*log r = log(a2*b2 / (a1*b1))``.  That log is a difference of
+    logs, compared with ``log R`` before it is divided or exponentiated, so
+    no ratio or power leaves the float range."""
+    radii = [1.0 / R, R]
+    factors = np.array([m1.alpha, m1.beta, m2.alpha, m2.beta])
+    gap, s_band = m1.alpha - m2.alpha, np.log(R)
+    if np.prod(np.sign(factors)) > 0:
+        logs = np.log(np.abs(factors))
+        log_ratio = logs[2] + logs[3] - logs[0] - logs[1]
+        if abs(log_ratio) <= s_band * abs(gap):
+            radii.append(np.exp(np.clip(log_ratio / gap, -s_band, s_band)))
+    radii = np.array(radii)
+    with np.errstate(over="ignore"):
+        g = _closed_form_phase(m1, radii) - _closed_form_phase(m2, radii)
+    if not np.all(np.isfinite(g)):
+        raise DomainError(f"phase difference {m1.beta:.6g}*r**{m1.alpha:.6g} - "
+                          f"({m2.beta:.6g})*r**{m2.alpha:.6g} overflows on [{radii[0]:.6g}, {R:.6g}]")
+    return float(g.min()), float(g.max())
 
 
 # ---------------------------------------------------------------------------
