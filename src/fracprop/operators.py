@@ -48,11 +48,17 @@ def _apply_spectrum(mvals, F, band):
     """:func:`apply` on the spectrum ``F`` of the signal, given the symbol's
     values ``mvals`` from :func:`_on_band`, so callers that already hold
     either share it: one forward transform, or one symbol evaluation."""
+    return inverse_transform(_multiply_on_band(mvals, F, band))
+
+
+def _multiply_on_band(mvals, F, band):
+    """The spectrum :func:`_apply_spectrum` transforms back: ``mvals`` times
+    ``F`` on the band bins, 0 elsewhere."""
     g = F.grid
     idx = g._band_bins(band.R)[1]
     out = np.zeros(g.n, dtype=complex)
     out[idx] = mvals * F.values[idx]
-    return inverse_transform(_fresh(Spectrum, g, out))
+    return _fresh(Spectrum, g, out)
 
 
 def translate(f, a):

@@ -228,12 +228,11 @@ def test_apply_spectrum_matches_apply(alpha, beta, probe_seed):
 
 
 def test_verify_shares_forward_transforms(monkeypatch):
-    # one forward transform per probe, shared by Plancherel, the round trip,
-    # apply and the reference, the unitarity reference taken as the
-    # band-projected spectrum's norm, not its inverse transform's, and both
-    # sides of the group law compared on the band bins, so only T(t2) f is
-    # carried back to a signal: a full (2, 1) run makes 216 forward and 365
-    # inverse calls
+    # one inverse and one forward transform per transform probe, the probe
+    # being T F for a random band spectrum F, so Plancherel, the round trip
+    # and unitarity share both; the group law compares both sides on the band
+    # bins, so only T(t2) f is carried back to a signal.  A (2, 1) run makes
+    # 216 forward and 165 inverse calls, 116 and 90 with --fast
     calls = {"fft": 0, "ifft": 0}
 
     def counted(name):
@@ -246,9 +245,10 @@ def test_verify_shares_forward_transforms(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
-    fp.run_verification(2.0, 1.0, seed=7)
-    assert calls["fft"] <= 216
-    assert calls["ifft"] <= 365
+    for fast, expected in ((False, {"fft": 216, "ifft": 165}), (True, {"fft": 116, "ifft": 90})):
+        calls.update(fft=0, ifft=0)
+        fp.run_verification(2.0, 1.0, seed=7, fast=fast)
+        assert calls == expected, fast
 
 
 def test_probe_never_exceeds_sup_random_pairs():

@@ -92,3 +92,51 @@ def test_semistability_canonical_refuses_a_perturbed_pair(monkeypatch, fast):
     assert check["residual"] > 1e-7 > check["tolerance"]
     assert not check["pass"]
     assert report["pass"] is False
+
+
+TRANSFORM_CHECKS = ("plancherel", "transform_roundtrip", "unitarity")
+
+
+def _scale_fft(name, factor):
+    def install(monkeypatch):
+        inner = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, **kwargs: inner(*args, **kwargs) * factor)
+    return install
+
+
+def _drop_window_parity(monkeypatch):
+    # undoes the parity (-1)**k that inverse_transform folds in for the
+    # window offset, so every inverse comes back shifted by half the window
+    inner = np.fft.ifft
+
+    def ifft(a, *args, **kwargs):
+        a = np.asarray(a)
+        return inner(a * (1.0 - 2.0 * (np.arange(a.shape[-1]) % 2)), *args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+
+
+def _symbol_off_unit_modulus(monkeypatch):
+    inner = operators.evaluate
+    monkeypatch.setattr(operators, "evaluate", lambda spec, xi: inner(spec, xi) * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+@pytest.mark.parametrize("fault, failing", [
+    pytest.param(_scale_fft("ifft", 1.0 + 1e-9), {"transform_roundtrip", "unitarity"},
+                 id="ifft-scaled"),
+    pytest.param(_scale_fft("fft", 1.0 + 1e-9), {"plancherel", "transform_roundtrip"},
+                 id="fft-scaled"),
+    pytest.param(_drop_window_parity, {"transform_roundtrip"}, id="ifft-without-parity"),
+    pytest.param(_symbol_off_unit_modulus, {"unitarity"}, id="symbol-off-unit-modulus"),
+])
+def test_transform_checks_name_each_fault(monkeypatch, fault, failing, fast):
+    # each of the three transform checks is an identity of one probe, so a
+    # fault fails exactly the identities it breaks, on every probe
+    fault(monkeypatch)
+    report = fp.run_verification(2.0, 1.0, seed=7, fast=fast)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert {name for name in TRANSFORM_CHECKS if not checks[name]["pass"]} == failing
+    if fault is _drop_window_parity:
+        # the spectrum comes back with every odd bin negated: about sqrt(2)
+        assert 1.0 < checks["transform_roundtrip"]["residual"] < 2.0
+    assert report["pass"] is False
