@@ -61,7 +61,6 @@ from .semistability import (
 )
 from .identification import (
     IdentificationResult,
-    PhaseTrace,
     branch_integers,
     identify,
     unwrap_phase,

@@ -1,11 +1,11 @@
 """Recover (alpha, beta) of a power-law phase symbol from a sampled radial
 profile and its scaling pair.
 
-Pipeline: lift the sampled values to a continuous phase trace in log-radius,
-extract the constant branch integers of the doubling/tripling relations
-(which must satisfy N = 2M), shift the trace into the branch-free
-representative ``phi1 = phi + 2*pi*M`` (sign-definite for a genuine power
-law) whose sign is beta's, and fit the phase increments.  For
+Pipeline: pin the table's own lifted phase at the node nearest r = 1, read the
+branch integers of the doubling/tripling relations (N = 2M) from the exact
+range of its spline that ``check_semistable`` reads too, shift the lift into
+the branch-free representative ``phi1 = phi + 2*pi*M`` (sign-definite for a
+genuine power law) whose sign is beta's, and fit the phase increments.  For
 ``beta*r**alpha`` on a log grid of step h the increment after node s_j is
 ``beta*e**(alpha*s_j)*expm1(alpha*h)``, so ``log|increment|`` is exactly
 affine in s_j (the one-exponential case of Prony's method): a
@@ -24,7 +24,7 @@ from .errors import (
     ModelMismatchError,
     UnwrapResolutionError,
 )
-from .symbols import Tabulated, _check_radii, _resolved_nodes, _wrapped_steps
+from .symbols import Tabulated, _check_radii, _pp_difference_range, _wrapped_steps
 
 TWO_PI = 2.0 * np.pi
 JUMP_SLACK = 0.05  # wrapped steps within this of pi cannot pin the branch
@@ -32,84 +32,49 @@ BRANCH_TOL = 0.01  # branch offsets farther than this from an integer refuse the
 BRANCH_MIN_POINTS = 100  # radii that must support both scale shifts
 
 
-class PhaseTrace:
-    """Continuous unwrapped phase on a log-radius grid."""
+def unwrap_phase(profile, base_index):
+    """The table's lifted phase, moved by whole turns to be the principal
+    argument of the sample at ``base_index``, to round-off.
 
-    __slots__ = ("s", "phi", "base_index")
-
-    def __init__(self, s, phi, base_index):
-        s = np.asarray(s, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if s.shape != phi.shape or s.ndim != 1:
-            raise InvalidInputError("s and phi must be matching 1-d arrays")
-        s.setflags(write=False)
-        phi.setflags(write=False)
-        self.s = s
-        self.phi = phi
-        self.base_index = int(base_index)
-
-    def __repr__(self):
-        return f"PhaseTrace(n={self.s.size}, base_index={self.base_index})"
-
-
-def unwrap_phase(s, values, base_index=0):
-    """Lift unit-modulus samples to a continuous real phase.
-
-    The branch is pinned at ``base_index``: the phase there is the principal
-    argument of that sample, to round-off.  Rejects adjacent samples whose
-    wrapped increment comes within ``JUMP_SLACK`` of pi, naming the offending
-    index: such data cannot be unwrapped reliably at this resolution.  Also
-    rejects data whose true phase step grows past pi: the wrapped steps show
-    that only as a change of nearly 2*pi from one step to the next (see
-    ``symbols._resolved_nodes``), and the error names the sample where it
-    happens.
+    Raises :class:`UnwrapResolutionError` where a wrapped step comes within
+    ``JUMP_SLACK`` of pi, naming its samples (such a step cannot pin the
+    branch at this resolution), and then where the sampling does not resolve
+    the phase on every radius (``symbols._check_radii``).
     """
-    s = np.asarray(s, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if s.ndim != 1 or s.shape != values.shape or s.size < 2:
-        raise InvalidInputError("need matching 1-d arrays with >= 2 samples")
-    if np.any(np.diff(s) <= 0):
-        raise InvalidInputError("s grid must be strictly increasing")
-    if np.max(np.abs(np.abs(values) - 1.0)) > 1e-9:
-        raise InvalidInputError("samples must lie on the unit circle within 1e-9")
-    base_index = int(base_index)
-    if not 0 <= base_index < s.size:
-        raise InvalidInputError(f"base index {base_index} out of range")
-
-    raw = np.angle(values)
-    wrapped = _wrapped_steps(raw)
-    bad = np.where(np.abs(wrapped) >= np.pi - JUMP_SLACK)[0]
+    raw = np.angle(profile.values)
+    steps = _wrapped_steps(raw)
+    bad = np.flatnonzero(np.abs(steps) >= np.pi - JUMP_SLACK)
     if bad.size:
         i = int(bad[0])
         raise UnwrapResolutionError(
-            f"phase step of {wrapped[i]:+.4f} rad between samples {i} and {i + 1} "
+            f"phase step of {steps[i]:+.4f} rad between samples {i} and {i + 1} "
             f"is too close to pi to resolve the branch"
         )
-    lo, hi = _resolved_nodes(wrapped)
-    if lo > 0 or hi < wrapped.size:
-        raise UnwrapResolutionError(
-            f"phase steps pass pi at sample {lo if lo > 0 else hi}, where "
-            f"neighbouring wrapped steps differ by more than 3*pi/2; only samples "
-            f"{lo} to {hi} can be unwrapped"
+    _check_radii(profile, profile.r)
+    return profile.phase + (raw[base_index] - profile.phase[base_index])
+
+
+def branch_integers(profile, pair, pin):
+    """Constant integers (M, N) with phi(a*r) = 2*phi(r) + 2*pi*M and
+    phi(b*r) = 3*phi(r) + 2*pi*N, for the lift ``phi = P + pin`` of the
+    table's spline phase P; enforces N = 2M.
+
+    The window is the span of the ``BRANCH_MIN_POINTS`` or more nodes whose
+    shifts by log a and log b stay in the table.  Over it the exact ranges of
+    ``P(s + log a) - 2*P(s)`` and ``P(s + log b) - 3*P(s)`` come from one
+    ``symbols._pp_difference_range`` pass, as in ``check_semistable``; moved
+    by ``(1 - k)*pin`` and divided by 2*pi, both ends of each range must lie
+    within ``BRANCH_TOL`` of the same integer.
+    """
+    shifts, s = np.log([pair.a, pair.b]), profile.s
+    pts = s[(s >= s[0] - min(0.0, shifts.min())) & (s <= s[-1] - max(0.0, shifts.max()))]
+    if pts.size < BRANCH_MIN_POINTS:
+        raise InsufficientDataError(
+            f"only {pts.size} radii support both scale shifts; need >= {BRANCH_MIN_POINTS}"
         )
-    phi = np.empty_like(raw)
-    phi[0] = raw[0]
-    np.cumsum(wrapped, out=phi[1:])
-    phi[1:] += raw[0]
-
-    phi += raw[base_index] - phi[base_index]
-    return PhaseTrace(s, phi, base_index)
-
-
-def _interp_phase(trace, s_query):
-    lo, hi = trace.s[0], trace.s[-1]
-    if np.any(s_query < lo) or np.any(s_query > hi):
-        raise InsufficientDataError("trace does not cover the shifted radii")
-    return np.interp(s_query, trace.s, trace.phi)
-
-
-def _constant_branch(trace, s_pts, log_shift, factor):
-    q = (_interp_phase(trace, s_pts + log_shift) - factor * _interp_phase(trace, s_pts)) / TWO_PI
+    k = np.array([2.0, 3.0])
+    ends = np.stack(_pp_difference_range(s, profile._coef, shifts, k, pts[0], pts[-1]))
+    q = (ends + (1.0 - k) * pin) / TWO_PI
     rounded = np.round(q)
     dev = float(np.max(np.abs(q - rounded)))
     if dev > BRANCH_TOL:
@@ -117,30 +82,12 @@ def _constant_branch(trace, s_pts, log_shift, factor):
             f"branch offsets deviate from integers by {dev:.3g} (> {BRANCH_TOL:.3g}); "
             f"the scaling pair is inconsistent with the profile"
         )
-    if rounded.max() != rounded.min():
+    if np.any(rounded[0] != rounded[1]):
         raise BranchInconsistencyError(
             "branch integer is not constant across radii; the scaling pair is "
             "inconsistent with the profile"
         )
-    return int(rounded[0])
-
-
-def branch_integers(trace, pair):
-    """Constant integers (M, N) with phi(a*r) = 2*phi(r) + 2*pi*M and
-    phi(b*r) = 3*phi(r) + 2*pi*N, read on the ``BRANCH_MIN_POINTS`` or more
-    radii whose shifts stay in the trace, each within ``BRANCH_TOL`` of the
-    same integer; enforces N = 2M."""
-    ln_a = np.log(pair.a)
-    ln_b = np.log(pair.b)
-    lo = trace.s[0] + max(0.0, -ln_a, -ln_b)
-    hi = trace.s[-1] - max(0.0, ln_a, ln_b)
-    pts = trace.s[(trace.s >= lo) & (trace.s <= hi)]
-    if pts.size < BRANCH_MIN_POINTS:
-        raise InsufficientDataError(
-            f"only {pts.size} radii support both scale shifts; need >= {BRANCH_MIN_POINTS}"
-        )
-    m = _constant_branch(trace, pts, ln_a, 2.0)
-    n = _constant_branch(trace, pts, ln_b, 3.0)
+    m, n = (int(x) for x in rounded[0])
     if n != 2 * m:
         raise BranchInconsistencyError(
             f"branch integers violate N = 2M (got M={m}, N={n}): the profile is "
@@ -199,10 +146,12 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6):
     reconstruction tolerance; ``pair_tol`` bounds |a**alpha - 2| and
     |b**alpha - 3| for the recovered exponent.  Both must be finite and
     non-negative: a nan tolerance would accept any profile, and an infinite
-    one would call any profile the identity.  Raises typed errors for the
-    failure modes: branch trouble (wrong pair, offsets beyond ``BRANCH_TOL``),
-    sign changes of the lifted phase (no power law), and reconstruction
-    mismatch.
+    one would call any profile the identity.  The lift is the table's own
+    (:func:`unwrap_phase`), and the branch integers come from the exact range
+    of its spline (:func:`branch_integers`).  Raises typed errors for the
+    failure modes: a phase the sampling does not resolve, branch trouble
+    (wrong pair, offsets beyond ``BRANCH_TOL``), sign changes of the lifted
+    phase (no power law), and reconstruction mismatch.
     """
     if not isinstance(profile, Tabulated):
         raise InvalidInputError("identification needs a tabulated radial profile")
@@ -213,12 +162,11 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6):
     if float(np.max(np.abs(profile.values - 1.0))) <= tol:
         return IdentificationResult(0.0, 0.0, 0, 0, None, 0.0, None, True)
 
-    _check_radii(profile, profile.r)
     base_index = int(np.argmin(np.abs(profile.s)))
-    trace = unwrap_phase(profile.s, profile.values, base_index=base_index)
-    m, n = branch_integers(trace, pair)
+    phi = unwrap_phase(profile, base_index)
+    m, n = branch_integers(profile, pair, phi[base_index] - profile.phase[base_index])
 
-    phi1 = trace.phi + TWO_PI * m
+    phi1 = phi + TWO_PI * m
     lo, hi = float(phi1.min()), float(phi1.max())
     if lo <= 0.0 <= hi or min(abs(lo), abs(hi)) <= 1e-12 * max(abs(lo), abs(hi)):
         raise DegenerateSymbolError(
@@ -228,20 +176,20 @@ def identify(profile, pair, tol=1e-9, pair_tol=1e-6):
     sign = 1.0 if lo > 0 else -1.0
 
     # |phase step j| = |beta| * e^(alpha*s_j) * |expm1(alpha*h)|: a line in s_j
-    mag = np.abs(np.diff(trace.phi))
+    mag = np.abs(np.diff(phi))
     keep = mag > 1e-6 * mag.max()
     if np.count_nonzero(keep) < 2:
         raise InconsistentPairError(
             "the lifted phase is flat (fewer than two steps above 1e-6 of the "
             "largest), so its exponent is 0 and no scaling pair doubles it"
         )
-    s, w = trace.s[:-1][keep], mag[keep]
+    s, w = profile.s[:-1][keep], mag[keep]
     psi = np.log(w)
     s_bar, psi_bar = np.dot(w, s) / w.sum(), np.dot(w, psi) / w.sum()
     alpha = float(np.dot(w * (s - s_bar), psi) / np.dot(w * (s - s_bar), s - s_bar))
     intercept = psi_bar - alpha * s_bar
     fit_residual = float(np.max(np.abs(psi - (alpha * s + intercept))))
-    h = (trace.s[-1] - trace.s[0]) / (trace.s.size - 1)
+    h = (profile.s[-1] - profile.s[0]) / (profile.s.size - 1)
     gamma = float(intercept - np.log(abs(np.expm1(alpha * h))))
     beta = sign * np.exp(gamma)
 

@@ -6,7 +6,9 @@ A symbol is one of two immutable specs:
 * :class:`Tabulated`: a radial profile sampled on a log-uniform grid, evaluated
   by cubic-spline interpolation of the unwrapped phase in log-radius (never of
   the complex values, so unit modulus is preserved and no chord shortcuts occur).
-  The spline's per-interval polynomial coefficients are stored with it.
+  The phase is lifted once, as the first principal argument plus the running
+  sum of the wrapped steps; it and the spline's per-interval polynomial
+  coefficients are stored with the table.
 
 All evaluation goes through a real phase function, so results are exactly
 unimodular up to the rounding of ``exp``.
@@ -109,14 +111,15 @@ class Tabulated:
         if not np.all(np.isfinite(mod)) or np.max(np.abs(mod - 1.0)) > 1e-12:
             raise InvalidInputError("profile values must have unit modulus within 1e-12")
         raw = np.angle(values)
-        phase = np.unwrap(raw)
+        steps = _wrapped_steps(raw)
+        phase = np.concatenate([raw[:1], raw[0] + np.cumsum(steps)])
         coef = _cubic_coefficients(s, phase, _not_a_knot_spline(s, phase))
         for arr in (values, phase, coef):
             arr.setflags(write=False)
         self.values = values
         self.phase = phase
         self._coef = coef
-        self._set_grid(r, s, _resolved_nodes(_wrapped_steps(raw)))
+        self._set_grid(r, s, _resolved_nodes(steps))
 
     def _set_grid(self, r, s, nodes):
         for arr in (r, s):

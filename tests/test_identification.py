@@ -17,6 +17,7 @@ from fracprop.errors import (
     UnwrapResolutionError,
 )
 from fracprop.identification import TWO_PI
+from fracprop.symbols import _wrapped_steps
 from conftest import identify_halfwidth
 
 
@@ -26,17 +27,26 @@ def log_s(lo, hi, num):
 
 # ---------------------------------------------------------------------- unwrap
 
+def table(s, values):
+    return fp.Tabulated(np.exp(s), values)
+
+
+def pin_of(tab, phi):
+    """The whole turns that move the table's own lift onto ``phi``."""
+    return phi[0] - tab.phase[0]
+
+
 def test_unwrap_slowly_varying():
     s = np.arange(101, dtype=float)
     true = 0.1 * s
-    trace = fp.unwrap_phase(s, np.exp(1j * true))
-    np.testing.assert_allclose(trace.phi, true, atol=1e-12)
+    phi = fp.unwrap_phase(table(s, np.exp(1j * true)), 0)
+    np.testing.assert_allclose(phi, true, atol=1e-12)
 
 
 def test_unwrap_constant_one():
     s = np.arange(32, dtype=float)
-    trace = fp.unwrap_phase(s, np.ones(32, dtype=complex))
-    np.testing.assert_array_equal(trace.phi, np.zeros(32))
+    phi = fp.unwrap_phase(table(s, np.ones(32, dtype=complex)), 0)
+    np.testing.assert_array_equal(phi, np.zeros(32))
 
 
 def test_unwrap_symbolic_oracle():
@@ -44,17 +54,17 @@ def test_unwrap_symbolic_oracle():
     # principal branch 7 - 2*pi
     s = log_s(0.0, 1.0, 2048)
     values = np.exp(1j * 7.0 * np.exp(s))
-    trace = fp.unwrap_phase(s, values, base_index=0)
+    phi = fp.unwrap_phase(table(s, values), 0)
     expected = 7.0 * np.exp(s) - TWO_PI
-    assert trace.phi[0] == pytest.approx(7.0 - TWO_PI, abs=1e-14)
-    np.testing.assert_allclose(trace.phi, expected, atol=1e-11)
+    assert phi[0] == pytest.approx(7.0 - TWO_PI, abs=1e-14)
+    np.testing.assert_allclose(phi, expected, atol=1e-11)
 
 
 def test_unwrap_reports_offending_index():
-    s = np.arange(6, dtype=float)
-    phases = np.array([0.0, 0.1, 0.2, 0.2 + np.pi, 0.4, 0.5])
+    s = np.arange(8, dtype=float)
+    phases = np.array([0.0, 0.1, 0.2, 0.2 + np.pi, 0.4, 0.5, 0.6, 0.7])
     with pytest.raises(UnwrapResolutionError) as err:
-        fp.unwrap_phase(s, np.exp(1j * phases))
+        fp.unwrap_phase(table(s, np.exp(1j * phases)), 0)
     assert "samples 2 and 3" in str(err.value)
 
 
@@ -63,11 +73,12 @@ def test_unwrap_base_branch_selection():
     # the principal argument there, one turn below the lift pinned at s = 0
     s = np.arange(32, dtype=float)
     values = np.exp(1j * 0.2 * s)
-    pinned = fp.unwrap_phase(s, values, base_index=20)
-    plain = fp.unwrap_phase(s, values)
-    assert pinned.phi[20] == pytest.approx(np.angle(values[20]), abs=1e-12)
-    np.testing.assert_allclose(plain.phi, 0.2 * s, atol=1e-12)
-    np.testing.assert_allclose(pinned.phi - plain.phi, -TWO_PI, atol=1e-12)
+    tab = table(s, values)
+    pinned = fp.unwrap_phase(tab, 20)
+    plain = fp.unwrap_phase(tab, 0)
+    assert pinned[20] == pytest.approx(np.angle(values[20]), abs=1e-12)
+    np.testing.assert_allclose(plain, 0.2 * s, atol=1e-12)
+    np.testing.assert_allclose(pinned - plain, -TWO_PI, atol=1e-12)
 
 
 @seed(5)
@@ -78,16 +89,16 @@ def test_unwrap_base_branch_selection():
 )
 def test_unwrap_roundtrip_hypothesis(steps):
     phase = np.concatenate([[0.3], 0.3 + np.cumsum(steps)])
-    s = np.arange(phase.size, dtype=float)
+    tab = table(np.arange(phase.size, dtype=float), np.exp(1j * phase))
     if np.any(np.abs(np.diff(steps)) > 1.5 * np.pi):
         # on the circle these steps look like a smooth phase whose step passes pi
         with pytest.raises(UnwrapResolutionError):
-            fp.unwrap_phase(s, np.exp(1j * phase))
+            fp.unwrap_phase(tab, 0)
         return
-    trace = fp.unwrap_phase(s, np.exp(1j * phase))
+    phi = fp.unwrap_phase(tab, 0)
     # reconstruction on the circle is exact; the lift agrees up to one global turn
-    np.testing.assert_allclose(np.exp(1j * trace.phi), np.exp(1j * phase), atol=1e-9)
-    offsets = (trace.phi - phase) / TWO_PI
+    np.testing.assert_allclose(np.exp(1j * phi), np.exp(1j * phase), atol=1e-9)
+    offsets = (phi - phase) / TWO_PI
     np.testing.assert_allclose(offsets, np.round(offsets[0]), atol=1e-6)
 
 
@@ -98,21 +109,33 @@ def test_unwrap_refuses_true_step_passing_pi():
     s = log_s(-3.0, 3.0, 64)
     values = np.exp(50j * np.exp(2.0 * s))
     with pytest.raises(UnwrapResolutionError) as err:
-        fp.unwrap_phase(s, values)
-    assert "sample 26" in str(err.value)
+        fp.unwrap_phase(table(s, values), 0)
+    assert f"it resolves only [{np.exp(s[0]):.6g}, {np.exp(s[26]):.6g}]" in str(err.value)
     # the resolved part alone unwraps to the true phase, pinned at its first sample
-    trace = fp.unwrap_phase(s[:27], values[:27])
-    np.testing.assert_allclose(trace.phi - trace.phi[0],
+    phi = fp.unwrap_phase(table(s[:27], values[:27]), 0)
+    np.testing.assert_allclose(phi - phi[0],
                                50.0 * (np.exp(2.0 * s[:27]) - np.exp(2.0 * s[0])), atol=1e-10)
+
+
+def test_table_lift_is_the_sum_of_wrapped_steps():
+    # one lift in the library: the first principal argument plus the running
+    # sum of the wrapped steps, bit for bit
+    for alpha, beta, num in ((0.8, 1.3, 4096), (1.0, 7.0, 4096), (-1.5, -0.1, 1000), (2.0, 50.0, 64)):
+        r = np.exp(np.linspace(-3.0, 3.0, num))
+        values = np.exp(1j * beta * r**alpha)
+        raw = np.angle(values)
+        lift = fp.Tabulated(r, values).phase
+        assert lift[0] == raw[0]
+        np.testing.assert_array_equal(lift[1:], raw[0] + np.cumsum(_wrapped_steps(raw)))
 
 
 # ------------------------------------------------------------- branch integers
 
 def test_branch_integers_zero_branch():
     s = log_s(-4.0, 4.0, 2048)
-    values = np.exp(1j * 1.5 * np.exp(0.5 * s))
-    trace = fp.unwrap_phase(s, values, base_index=1024)
-    m, n = fp.branch_integers(trace, fp.SemistablePair(4.0, 9.0))
+    tab = table(s, np.exp(1j * 1.5 * np.exp(0.5 * s)))
+    phi = fp.unwrap_phase(tab, 1024)
+    m, n = fp.branch_integers(tab, fp.SemistablePair(4.0, 9.0), pin_of(tab, phi))
     assert (m, n) == (0, 0)
 
 
@@ -120,30 +143,30 @@ def test_branch_integers_nonzero_branch():
     # phi(r) = 7r - 2*pi: phi(2r) - 2 phi(r) = 2*pi, phi(3r) - 3 phi(r) = 4*pi
     s = log_s(-1.0, 2.5, 4096)
     phi = 7.0 * np.exp(s) - TWO_PI
-    trace = fp.PhaseTrace(s, phi, 0)
-    m, n = fp.branch_integers(trace, fp.SemistablePair(2.0, 3.0))
+    tab = table(s, np.exp(1j * phi))
+    m, n = fp.branch_integers(tab, fp.SemistablePair(2.0, 3.0), pin_of(tab, phi))
     assert (m, n) == (1, 2)
 
 
 def test_branch_integers_constant_trace():
     s = log_s(-3.0, 3.0, 1024)
-    trace = fp.PhaseTrace(s, np.zeros_like(s), 512)
-    assert fp.branch_integers(trace, fp.SemistablePair(2.0, 3.0)) == (0, 0)
+    tab = table(s, np.ones(s.size, dtype=complex))
+    assert fp.branch_integers(tab, fp.SemistablePair(2.0, 3.0), 0.0) == (0, 0)
 
 
 def test_branch_integers_rejects_wrong_pair():
     s = log_s(-3.0, 3.0, 4096)
     phi = 1.0 * np.exp(2.0 * s)  # profile of (alpha=2, beta=1)
-    trace = fp.PhaseTrace(s, phi, 2048)
+    tab = table(s, np.exp(1j * phi))
     with pytest.raises(BranchInconsistencyError):
-        fp.branch_integers(trace, fp.SemistablePair(1.5, np.sqrt(3.0)))
+        fp.branch_integers(tab, fp.SemistablePair(1.5, np.sqrt(3.0)), pin_of(tab, phi))
 
 
 def test_branch_integers_needs_overlap():
     s = log_s(0.0, 0.5, 256)
-    trace = fp.PhaseTrace(s, np.zeros_like(s), 0)
+    tab = table(s, np.ones(s.size, dtype=complex))
     with pytest.raises(InsufficientDataError):
-        fp.branch_integers(trace, fp.SemistablePair(4.0, 9.0))  # ln 9 > window
+        fp.branch_integers(tab, fp.SemistablePair(4.0, 9.0), 0.0)  # ln 9 > window
 
 
 # -------------------------------------------------------------------- identify
@@ -207,17 +230,17 @@ def test_identify_round_trip_grid():
 
 
 def test_identify_branch_robustness():
-    # lifting the trace by one full turn moves M by -1 and leaves the
+    # lifting the phase by one full turn moves M by -1 and leaves the
     # branch-free phase and the phase increments, which the fit reads, unchanged
     prof = fp.tabulate(fp.ClosedForm(1.0, 7.0), np.exp(-3.0), np.exp(3.0), 4096)
     base_index = int(np.argmin(np.abs(prof.s)))
     pair = fp.SemistablePair(2.0, 3.0)
 
-    plain = fp.unwrap_phase(prof.s, prof.values, base_index=base_index)
+    plain = fp.unwrap_phase(prof, base_index)
     results = []
-    for trace in (plain, fp.PhaseTrace(prof.s, plain.phi + TWO_PI, base_index)):
-        m, _ = fp.branch_integers(trace, pair)
-        results.append((m, trace.phi + TWO_PI * m, np.diff(trace.phi)))
+    for phi in (plain, plain + TWO_PI):
+        m, _ = fp.branch_integers(prof, pair, pin_of(prof, phi))
+        results.append((m, phi + TWO_PI * m, np.diff(phi)))
     (m0, phi0, steps0), (m1, phi1, steps1) = results
     assert m1 == m0 - 1
     assert np.all(phi0 > 0)
@@ -227,6 +250,59 @@ def test_identify_branch_robustness():
     assert res.M == m0
     assert res.alpha == pytest.approx(1.0, rel=1e-13)
     assert res.beta == pytest.approx(7.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("coef, alpha, pair, want", [
+    (1.3, 0.8, (2.378414230005442, 3.9482220388574776),
+     ("0.7999999999999977", "1.3000000000000096", "1.6182610806936282e-12")),
+    (7.0, 1.0, (2.0, 3.0),
+     ("0.999999999999998", "7.000000000000051", "1.6635581800983346e-12")),
+])
+def test_identify_keeps_its_digits_on_the_ci_profiles(tmp_path, coef, alpha, pair, want):
+    # the profile files the CI writes, and the digits identify prints for
+    # them: the fit reads the lift's increments, so a lift that rounds
+    # differently moves the last digits of alpha and beta
+    r = np.exp(np.linspace(-3.0, 3.0, 4096))
+    v = np.exp(1j * coef * r**alpha)
+    path = tmp_path / "profile.csv"
+    np.savetxt(path, np.column_stack([r, v.real, v.imag]), fmt="%.17g", delimiter=",",
+               header="r,re,im", comments="")
+    res = fp.identify(fp.load_symbol_csv(path), fp.SemistablePair(*pair))
+    assert (repr(res.alpha), repr(res.beta), repr(res.fit_residual)) == want
+
+
+def expected_branch(tab, beta, alpha):
+    """M of phi(a*r) = 2*phi(r) + 2*pi*M for the phase pinned to its principal
+    value at the node nearest r = 1: phi = beta*r**alpha + 2*pi*k there, so
+    M = -k."""
+    theta = beta * np.exp(alpha * tab.s[np.argmin(np.abs(tab.s))])
+    return -round((float(np.angle(np.exp(1j * theta))) - theta) / TWO_PI)
+
+
+def test_identify_branch_integers_beyond_zero_and_one():
+    seen, seen_dilated = set(), set()
+    for alpha in (0.5, 1.0, -0.5, -1.0):
+        for beta in (1.0, 7.0, 13.0, -1.0, -7.0, -13.0):
+            L = min(3.0, identify_halfwidth(alpha, beta))
+            tab = fp.tabulate(fp.ClosedForm(alpha, beta), np.exp(-L), np.exp(L), 4096)
+            pair = fp.canonical_pair(alpha)
+            res = fp.identify(tab, pair)
+            want = expected_branch(tab, beta, alpha)
+            assert (res.M, res.N) == (want, 2 * want)
+            seen.add(want)
+            # a dilated table reads the parent's spline on the radii r / lam
+            lam = 1.7
+            dilated = fp.dilate(tab, lam)
+            assert dilated._coef is tab._coef
+            scaled = beta * lam**alpha
+            res = fp.identify(dilated, pair)
+            assert res.alpha == pytest.approx(alpha, rel=1e-11)
+            assert res.beta == pytest.approx(scaled, rel=1e-11)
+            want = expected_branch(dilated, scaled, alpha)
+            assert (res.M, res.N) == (want, 2 * want)
+            seen_dilated.add(want)
+    assert seen == {-2, -1, 0, 1, 2}
+    assert seen_dilated == {-4, -3, -2, -1, 0, 1, 2, 3, 4}
 
 
 def test_identify_window_not_containing_unit_radius():
