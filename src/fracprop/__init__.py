@@ -10,7 +10,6 @@ from .errors import (
     DegenerateSymbolError,
     DomainError,
     FracpropError,
-    GridMismatchError,
     IdentificationError,
     InconsistentPairError,
     InsufficientDataError,
@@ -27,7 +26,6 @@ from .grids import (
     band_project,
     forward_transform,
     gaussian_packet,
-    inner_product,
     inverse_transform,
     load_signal_csv,
     random_band_signal,
@@ -50,13 +48,11 @@ from .operators import (
     conjugated_apply,
     dilate_signal,
     probe_operator_distance,
-    translate,
 )
 from .semistability import (
     SemistabilityReport,
     SemistablePair,
     canonical_pair,
-    check_order,
     check_semistable,
 )
 from .identification import (
@@ -65,8 +61,8 @@ from .identification import (
     identify,
     unwrap_phase,
 )
-from .exponents import PhaseTerm, ProductVerdict, classify_product, sample_oracle
-from .groups import GroupSpec, check_group_law, check_scaling, member, recover_beta
+from .exponents import PhaseTerm, ProductVerdict, classify_product
+from .groups import GroupSpec, check_group_law, check_scaling, member
 from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -9,10 +9,6 @@ class InvalidInputError(FracpropError, ValueError):
     """Malformed values: non-finite entries, bad sizes, broken file contents."""
 
 
-class GridMismatchError(FracpropError, ValueError):
-    """Two signals/spectra built on different grids were combined."""
-
-
 class BandConfigError(FracpropError, ValueError):
     """A frequency band is not resolvable on the given grid."""
 

@@ -5,7 +5,7 @@ Terms with a common exponent add their coefficients; distinct exponents are
 independent (the set of radii where a nontrivial combination hits a full turn
 is countable), so the product is the constant 1 exactly when every group with
 a nonzero exponent cancels and the zero-exponent group sums to a multiple of
-2*pi.  A brute-force sampling oracle provides an independent cross-check.
+2*pi.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from .symbols import CHECK_RADII
 TWO_PI = 2.0 * np.pi
 _SUM_TOL = 1e-12          # relative to sum of |beta|
 _TURN_TOL = 1e-12         # distance of sum/(2*pi) to the nearest integer
-_ORACLE_TOL = 1e-9
 _WITNESS_FLOOR = 1e-6
 
 
@@ -145,19 +144,3 @@ def classify_product(terms, alpha_tol=0.0):
     else:
         label = "general"
     return ProductVerdict(True, label, None, near_collision)
-
-
-def sample_oracle(terms, r_grid):
-    """Brute-force check: is the product within 1e-9 of 1 at every radius?
-
-    The grid must have at least 256 points spanning two decades; a generic
-    grid of that size catches any nontrivial product.
-    """
-    r = np.asarray(r_grid, dtype=float)
-    if r.size < 256:
-        raise InvalidInputError(f"oracle grid needs >= 256 points, got {r.size}")
-    if np.any(r <= 0):
-        raise InvalidInputError("oracle radii must be positive")
-    if float(r.max() / r.min()) < 100.0:
-        raise InvalidInputError("oracle grid must span at least two decades")
-    return bool(np.max(np.abs(product_values(list(terms), r) - 1.0)) <= _ORACLE_TOL)

@@ -14,7 +14,7 @@ import io
 
 import numpy as np
 
-from .errors import BandConfigError, GridMismatchError, InvalidInputError
+from .errors import BandConfigError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 _SQRT_TWO_PI = np.sqrt(TWO_PI)
@@ -208,11 +208,6 @@ class BandSpec:
         return f"BandSpec(R={self.R})"
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
-
-
 def forward_transform(f):
     """Unitary discrete Fourier transform of a sampled signal.
 
@@ -237,15 +232,6 @@ def inverse_transform(F):
         out = np.fft.ifft(F.values * g._parity, norm="forward")
         out *= g.dxi / _SQRT_TWO_PI
     return _fresh(SampledSignal, g, out)
-
-
-def inner_product(f, g):
-    """Discrete inner product sum f * conj(g) * dx.
-
-    Conjugate-symmetric; ``inner_product(f, f)`` is real and non-negative.
-    """
-    _check_same_grid(f, g)
-    return complex(np.vdot(g.values, f.values) * f.grid.dx)
 
 
 def band_project(F, band):

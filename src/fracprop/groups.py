@@ -1,15 +1,14 @@
 """One-parameter unitary groups with symbols exp(i*beta*t*|xi|**alpha).
 
-The group is handled entirely through symbols: the member at time t is the
-closed form (alpha, beta*t), phases add exactly under composition, and for
-t > 0 the member equals the time-1 member rescaled by t**(1/alpha).
+The member at time t is the closed form (alpha, beta*t).  Two identities are
+checked: the group law T(t1 + t2) = T(t1) T(t2) on a band-limited signal,
+where phases add exactly, and, for t > 0, the member as the time-1 member
+rescaled by t**(1/alpha), on the symbols.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .grids import forward_transform
 from .operators import _apply_spectrum, _on_band
 from .symbols import ClosedForm, _float_power, _snapped_chord_sup, dilate
@@ -88,26 +87,3 @@ def check_scaling(group, t):
                       _float_power(t, 1.0 / group.alpha, "rescaling factor t**(1/alpha)"))
     scale = max(abs(direct.beta), abs(rescaled.beta), 1.0)
     return _snapped_chord_sup(direct.beta - rescaled.beta, scale, group.alpha, coef=direct.beta)
-
-
-class SlopeFit(NamedTuple):
-    slope: float
-    residual: float
-
-
-def recover_beta(samples):
-    """Least-squares slope through the origin of (t, coefficient) samples.
-
-    The group law forces the coefficient to be linear in t, so the slope is
-    the group's beta; the max deviation from the line is reported alongside.
-    """
-    pts = [(float(t), float(b)) for t, b in samples]
-    if len(pts) < 8:
-        raise InsufficientDataError(f"need >= 8 samples, got {len(pts)}")
-    t = np.array([p[0] for p in pts])
-    b = np.array([p[1] for p in pts])
-    if np.all(t == t[0]):
-        raise InsufficientDataError("all sample times are identical")
-    slope = float(np.dot(t, b) / np.dot(t, t))
-    residual = float(np.max(np.abs(b - slope * t)))
-    return SlopeFit(slope, residual)

@@ -63,8 +63,8 @@ def branch_integers(profile, pair, pin):
     shifts by log a and log b stay in the table.  Over it the exact ranges of
     ``P(s + log a) - 2*P(s)`` and ``P(s + log b) - 3*P(s)`` come from one
     ``symbols._pp_difference_range`` pass, as in ``check_semistable``; moved
-    by ``(1 - k)*pin`` and divided by 2*pi, both ends of each range must lie
-    within ``BRANCH_TOL`` of the same integer.
+    by ``(1 - k)*pin`` and divided by 2*pi, each range must lie within
+    ``BRANCH_TOL`` of one integer, or the refusal names both ranges.
     """
     shifts, s = np.log([pair.a, pair.b]), profile.s
     pts = s[(s >= s[0] - min(0.0, shifts.min())) & (s <= s[-1] - max(0.0, shifts.max()))]
@@ -75,19 +75,16 @@ def branch_integers(profile, pair, pin):
     k = np.array([2.0, 3.0])
     ends = np.stack(_pp_difference_range(s, profile._coef, shifts, k, pts[0], pts[-1]))
     q = (ends + (1.0 - k) * pin) / TWO_PI
-    rounded = np.round(q)
-    dev = float(np.max(np.abs(q - rounded)))
-    if dev > BRANCH_TOL:
+    branch = np.round(q.mean(axis=0))
+    if np.max(np.abs(q - branch)) > BRANCH_TOL:
+        (lo_a, lo_b), (hi_a, hi_b) = q
         raise BranchInconsistencyError(
-            f"branch offsets deviate from integers by {dev:.3g} (> {BRANCH_TOL:.3g}); "
-            f"the scaling pair is inconsistent with the profile"
+            f"branch offsets span [{lo_a:.3g}, {hi_a:.3g}] turns under a and "
+            f"[{lo_b:.3g}, {hi_b:.3g}] turns under b, but each range must lie within "
+            f"{BRANCH_TOL:.3g} of one integer: the scaling pair is inconsistent with "
+            f"the profile"
         )
-    if np.any(rounded[0] != rounded[1]):
-        raise BranchInconsistencyError(
-            "branch integer is not constant across radii; the scaling pair is "
-            "inconsistent with the profile"
-        )
-    m, n = (int(x) for x in rounded[0])
+    m, n = (int(x) for x in branch)
     if n != 2 * m:
         raise BranchInconsistencyError(
             f"branch integers violate N = 2M (got M={m}, N={n}): the profile is "

@@ -1,11 +1,11 @@
-"""Apply multiplier operators to signals: evolution, translation, rescaling,
-conjugation by dilation, and operator-distance probing by an exact spike on
-the band bin where the two symbols differ most.
+"""Apply multiplier operators to signals: evolution, rescaling, conjugation
+by dilation, and operator-distance probing by an exact spike on the band bin
+where the two symbols differ most.
 
-Everything acts through the frequency side.  Translation and symbol
-application are exact per-bin operations; signal dilation needs band-limited
-(trigonometric) interpolation of the spectrum at off-grid frequencies and is
-the one operation with a discretization budget (~1e-8 for spatially decaying
+Everything acts through the frequency side.  Symbol application is an exact
+per-bin operation; signal dilation needs band-limited (trigonometric)
+interpolation of the spectrum at off-grid frequencies and is the one
+operation with a discretization budget (~1e-8 for spatially decaying
 signals), so every identity that crosses it carries that tolerance.  The
 interpolation itself is exact: the rescaled frequencies lie on a uniform grid,
 so each run of them is a fractional DFT, evaluated by Bluestein's chirp-z in
@@ -59,17 +59,6 @@ def _multiply_on_band(mvals, F, band):
     out = np.zeros(g.n, dtype=complex)
     out[idx] = mvals * F.values[idx]
     return _fresh(Spectrum, g, out)
-
-
-def translate(f, a):
-    """Shift f(x) -> f(x - a) via the spectral phase exp(-i*a*xi).
-
-    Exact (to round-off) for the periodic band-limited model; norms are
-    preserved bin by bin.
-    """
-    F = forward_transform(f)
-    shifted = F.values * np.exp(-1j * float(a) * f.grid.xi)
-    return inverse_transform(_fresh(Spectrum, f.grid, shifted))
 
 
 def _chirp_spectrum(values, grid, lam, k0, m):

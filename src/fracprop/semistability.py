@@ -163,12 +163,3 @@ def order_doubling_residual(spec):
     rescaled = dilate(spec, _float_power(2.0, 1.0 / spec.alpha, "order 2**(1/alpha)"))
     return _snapped_chord_sup(squared - rescaled.beta, max(abs(squared), 1.0),
                               spec.alpha, coef=spec.beta)
-
-
-def check_order(spec, tol=1e-12):
-    """True iff squaring the operator equals rescaling by 2**(1/alpha).
-
-    Always true analytically for closed forms; the check guards the dilation
-    implementation (a corrupted rescale factor fails it).
-    """
-    return order_doubling_residual(spec) <= tol

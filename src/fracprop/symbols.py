@@ -99,7 +99,7 @@ def _log_radii(r):
 class Tabulated:
     """Radial profile on a strictly increasing, log-uniform radius grid."""
 
-    __slots__ = ("r", "values", "s", "phase", "_coef", "_nodes", "_resolved")
+    __slots__ = ("r", "values", "s", "phase", "_coef", "_resolved")
 
     def __init__(self, r, values):
         r = np.asarray(r, dtype=float)
@@ -114,33 +114,15 @@ class Tabulated:
         steps = _wrapped_steps(raw)
         phase = np.concatenate([raw[:1], raw[0] + np.cumsum(steps)])
         coef = _cubic_coefficients(s, phase, _not_a_knot_spline(s, phase))
-        for arr in (values, phase, coef):
-            arr.setflags(write=False)
-        self.values = values
-        self.phase = phase
-        self._coef = coef
-        self._set_grid(r, s, _resolved_nodes(steps))
-
-    def _set_grid(self, r, s, nodes):
-        for arr in (r, s):
+        for arr in (r, values, s, phase, coef):
             arr.setflags(write=False)
         self.r = r
+        self.values = values
         self.s = s
-        self._nodes = nodes
-        self._resolved = (float(r[nodes[0]]), float(r[nodes[1]]))
-
-    def _dilated(self, lam):
-        """This profile on the radii ``r / lam``.  Only the grid is new: a
-        shift in log-radius leaves the phase, its resolved nodes and the
-        spline's interval polynomials in log-radius as they are."""
-        with np.errstate(over="ignore"):  # _log_radii refuses radii that overflow
-            r = self.r / lam
-        out = object.__new__(Tabulated)
-        out.values = self.values
-        out.phase = self.phase
-        out._coef = self._coef
-        out._set_grid(r, _log_radii(r), self._nodes)
-        return out
+        self.phase = phase
+        self._coef = coef
+        lo, hi = _resolved_nodes(steps)
+        self._resolved = (float(r[lo]), float(r[hi]))
 
     @property
     def r_min(self):
@@ -396,11 +378,9 @@ def evaluate(spec, xi):
 def dilate(spec, lam):
     """The rescaled symbol ``xi -> m(lam * xi)``.
 
-    Exact for closed forms: (alpha, beta) -> (alpha, beta * lam**alpha).  For
-    tabulated profiles the radius grid divides by ``lam``, which moves the
-    evaluable range accordingly.  That is an exact shift in log-radius, so the
-    result reuses the parent's unwrapped phase and spline; only the new radii
-    are computed and checked.
+    Exact for closed forms: (alpha, beta) -> (alpha, beta * lam**alpha).  A
+    tabulated profile is built again, with the same values on the radii
+    ``r / lam``, which moves the evaluable range accordingly.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
@@ -411,7 +391,9 @@ def dilate(spec, lam):
     if isinstance(spec, Tabulated):
         if lam == 1.0:
             return spec
-        return spec._dilated(lam)
+        with np.errstate(over="ignore"):  # Tabulated refuses radii that overflow
+            r = spec.r / lam
+        return Tabulated(r, spec.values)
     raise InvalidInputError(f"not a multiplier spec: {spec!r}")
 
 
@@ -433,11 +415,9 @@ def band_sup_distance(m1, m2, band):
     the operator norm of the difference restricted to the band.
 
     The distance is 2|sin(g/2)| for the phase difference g, so the sup comes
-    from the range of g.  For two closed forms that is read at the band's
-    ends and the one radius where g can be stationary; for a table and a
-    dilation of it, which share one spline, it is the exact range of the
-    piecewise cubic ``P(s + shift) - P(s)`` in ``s = log r``.  Any other pair
-    with a table raises DomainError, once each table is checked to hold the
+    from the range of g, read for two closed forms at the band's ends and the
+    one radius where g can be stationary.  A pair with a table has no exact
+    range and raises DomainError, once each table is checked to hold the
     band.
     """
     if isinstance(m1, ClosedForm) and isinstance(m2, ClosedForm):
@@ -449,12 +429,8 @@ def band_sup_distance(m1, m2, band):
             _check_radii(m, np.array([1.0 / band.R, band.R]))
         elif not isinstance(m, ClosedForm):
             raise InvalidInputError(f"not a multiplier spec: {m!r}")
-    if isinstance(m1, Tabulated) and isinstance(m2, Tabulated) and m1._coef is m2._coef:
-        s_band = np.log(band.R)
-        lo, hi = _pp_difference_range(m2.s, m2._coef, m2.s[0] - m1.s[0], 1.0, -s_band, s_band)
-        return _chord_sup(lo[0], hi[0])
     raise DomainError(f"no exact band sup distance between {m1!r} and {m2!r}: "
-                      f"a table has one only against a dilation of itself")
+                      f"only two closed forms have one")
 
 
 def _two_power_range(m1, m2, R):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracprop as fp
+from fracprop.errors import InvalidInputError
 
 
 def evolved_packet_oracle(x, x0, width, carrier, phase_coef):
@@ -70,6 +71,24 @@ def identify_halfwidth(alpha, beta, num=4096, budget=np.pi / 4.0):
         else:
             hi = mid
     return lo
+
+
+def sample_oracle(terms, r_grid):
+    """Brute-force check: is the product of the phase terms within 1e-9 of 1
+    at every radius?
+
+    The grid must have at least 256 points spanning two decades; a generic
+    grid of that size catches any nontrivial product.
+    """
+    r = np.asarray(r_grid, dtype=float)
+    if r.size < 256:
+        raise InvalidInputError(f"oracle grid needs >= 256 points, got {r.size}")
+    if np.any(r <= 0):
+        raise InvalidInputError("oracle radii must be positive")
+    if float(r.max() / r.min()) < 100.0:
+        raise InvalidInputError("oracle grid must span at least two decades")
+    total = sum(t.beta * r**t.alpha for t in terms)
+    return bool(np.max(np.abs(np.exp(1j * total) - 1.0)) <= 1e-9)
 
 
 def random_phase_terms(rng):

@@ -1,4 +1,5 @@
-"""CLI surface: flags, exit codes, JSON determinism, file handling."""
+"""CLI surface: flags, exit codes, JSON determinism, file handling, and the
+package's public names."""
 
 import contextlib
 import io
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -297,7 +299,6 @@ def test_each_exit_code_prints_one_error_line(tmp_path, capsys, code):
 @pytest.mark.parametrize("error, code", [
     (errors.InvalidInputError, cli.EXIT_USAGE),
     (errors.DomainError, cli.EXIT_USAGE),
-    (errors.GridMismatchError, cli.EXIT_USAGE),
     (errors.InsufficientDataError, cli.EXIT_USAGE),
     (errors.IdentificationError, cli.EXIT_USAGE),
     (errors.BandConfigError, cli.EXIT_BAND),
@@ -315,6 +316,28 @@ def test_main_maps_every_library_error_to_its_exit_code(capsys, monkeypatch, err
     monkeypatch.setattr(cli, "run_verification", raising)
     result = run_cli(capsys, ["verify", "--alpha", "2", "--beta", "1"])
     assert result == (code, "", "error: message\n")
+
+
+PUBLIC_NAMES = [
+    "BandConfigError", "BandSpec", "BranchInconsistencyError", "ClosedForm", "ContinuityReport",
+    "DegenerateSymbolError", "DomainError", "FracpropError", "GroupSpec", "IdentificationError",
+    "IdentificationResult", "InconsistentPairError", "InsufficientDataError", "InvalidInputError",
+    "ModelMismatchError", "PhaseTerm", "ProductVerdict", "SampledSignal", "SemistabilityReport",
+    "SemistablePair", "SpatialGrid", "Spectrum", "SymbolRangeError", "Tabulated",
+    "UnwrapResolutionError", "apply", "band_project", "band_sup_distance", "branch_integers",
+    "canonical_pair", "check_group_law", "check_scaling", "check_semistable", "classify_product",
+    "conjugated_apply", "continuity_modulus", "dilate", "dilate_signal", "evaluate",
+    "forward_transform", "gaussian_packet", "identify", "inverse_transform", "load_signal_csv",
+    "load_symbol_csv", "member", "probe_operator_distance", "random_band_signal",
+    "run_verification", "save_signal_csv", "save_symbol_csv", "tabulate", "unwrap_phase",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    # a name enters or leaves the package's surface only with this list
+    names = [n for n in dir(fp)
+             if not n.startswith("_") and not isinstance(getattr(fp, n), types.ModuleType)]
+    assert sorted(names) == PUBLIC_NAMES
 
 
 def test_identify_cli_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import fracprop as fp
 from fracprop.errors import DomainError, InvalidInputError
 from fracprop.exponents import product_values
+from conftest import sample_oracle
 
 ORACLE_GRID = np.exp(np.linspace(-3.0, 3.0, 512))
 
@@ -77,17 +78,17 @@ def test_alpha_tolerance_does_not_chain():
     v = fp.classify_product(terms, alpha_tol=1e-6)
     assert not v.is_identity and v.case_label == "none"
     assert v.near_collision
-    assert not fp.sample_oracle(terms, np.exp(np.linspace(-3.0, 3.0, 4096)))
+    assert not sample_oracle(terms, np.exp(np.linspace(-3.0, 3.0, 4096)))
 
 
 def test_sample_oracle_examples():
-    assert fp.sample_oracle([term(2.0, 1.0), term(2.0, -1.0)], ORACLE_GRID)
-    assert fp.sample_oracle([term(0.0, 4.0 * np.pi)], ORACLE_GRID)
-    assert not fp.sample_oracle([term(1.0, 1.0), term(2.0, -1.0)], ORACLE_GRID)
+    assert sample_oracle([term(2.0, 1.0), term(2.0, -1.0)], ORACLE_GRID)
+    assert sample_oracle([term(0.0, 4.0 * np.pi)], ORACLE_GRID)
+    assert not sample_oracle([term(1.0, 1.0), term(2.0, -1.0)], ORACLE_GRID)
     with pytest.raises(InvalidInputError):
-        fp.sample_oracle([term(1.0, 1.0)], ORACLE_GRID[:100])  # too few points
+        sample_oracle([term(1.0, 1.0)], ORACLE_GRID[:100])  # too few points
     with pytest.raises(InvalidInputError):
-        fp.sample_oracle([term(1.0, 1.0)], np.linspace(1.0, 2.0, 512))  # < 2 decades
+        sample_oracle([term(1.0, 1.0)], np.linspace(1.0, 2.0, 512))  # < 2 decades
 
 
 def random_term_list(rng):
@@ -127,7 +128,7 @@ def test_agreement_with_oracle_seeded():
         if any(t.beta == 0.0 for t in terms):
             continue
         verdict = fp.classify_product(terms)
-        oracle = fp.sample_oracle(terms, ORACLE_GRID)
+        oracle = sample_oracle(terms, ORACLE_GRID)
         if verdict.is_identity != oracle:
             disagreements += 1
         if not verdict.is_identity:

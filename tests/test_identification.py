@@ -162,6 +162,17 @@ def test_branch_integers_rejects_wrong_pair():
         fp.branch_integers(tab, fp.SemistablePair(1.5, np.sqrt(3.0)), pin_of(tab, phi))
 
 
+def test_branch_refusal_names_both_ranges():
+    # exp(7i r) pinned at r = 1 against the pair (4, 9): in turns, the offsets
+    # under a span [1.11, 5.97] and those under b [2.33, 16.9]
+    tab = fp.tabulate(fp.ClosedForm(1.0, 7.0), np.exp(-3.0), np.exp(3.0), 4096)
+    with pytest.raises(BranchInconsistencyError) as info:
+        fp.identify(tab, fp.SemistablePair(4.0, 9.0))
+    message = str(info.value)
+    assert "[1.11, 5.97] turns under a and [2.33, 16.9] turns under b" in message
+    assert "\n" not in message
+
+
 def test_branch_integers_needs_overlap():
     s = log_s(0.0, 0.5, 256)
     tab = table(s, np.ones(s.size, dtype=complex))
@@ -290,10 +301,9 @@ def test_identify_branch_integers_beyond_zero_and_one():
             want = expected_branch(tab, beta, alpha)
             assert (res.M, res.N) == (want, 2 * want)
             seen.add(want)
-            # a dilated table reads the parent's spline on the radii r / lam
+            # a dilated table holds the same samples on the radii r / lam
             lam = 1.7
             dilated = fp.dilate(tab, lam)
-            assert dilated._coef is tab._coef
             scaled = beta * lam**alpha
             res = fp.identify(dilated, pair)
             assert res.alpha == pytest.approx(alpha, rel=1e-11)

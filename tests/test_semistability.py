@@ -175,12 +175,11 @@ def test_signal_level_cross_check(packet_grid, wide_band):
 
 
 def test_check_order_true_cases():
-    assert fp.check_order(fp.ClosedForm(2.0, 1.0))
-    assert fp.check_order(fp.ClosedForm(0.5, -3.0))
-    assert fp.check_order(fp.ClosedForm(-1.0, 0.25))
-    assert fp.check_order(fp.ClosedForm(0.0, 0.0))
+    for spec in (fp.ClosedForm(2.0, 1.0), fp.ClosedForm(0.5, -3.0),
+                 fp.ClosedForm(-1.0, 0.25), fp.ClosedForm(0.0, 0.0)):
+        assert semistability.order_doubling_residual(spec) <= 1e-12
     with pytest.raises(DomainError):
-        fp.check_order(fp.ClosedForm(0.0, 1.0))
+        semistability.order_doubling_residual(fp.ClosedForm(0.0, 1.0))
 
 
 def test_check_order_detects_corrupted_dilation(monkeypatch):
@@ -191,7 +190,7 @@ def test_check_order_detects_corrupted_dilation(monkeypatch):
         return real_dilate(spec, 1.4 if abs(lam - np.sqrt(2.0)) < 0.1 else lam)
 
     monkeypatch.setattr(semistability, "dilate", broken)
-    assert not fp.check_order(fp.ClosedForm(2.0, 1.0))
+    assert semistability.order_doubling_residual(fp.ClosedForm(2.0, 1.0)) > 1e-12
 
 
 def test_order_and_scaling_exact_for_large_exponents():

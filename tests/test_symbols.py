@@ -165,20 +165,6 @@ def test_dilate_tabulated_scales_resolved_stretch(lam):
         fp.evaluate(shifted, tab._resolved[1] / lam * 1.01)
 
 
-def test_dilate_tabulated_shares_the_spline(monkeypatch):
-    tab = fp.tabulate(fp.ClosedForm(2.0, 1.0), 0.5, 2.0, 128)
-
-    def no_rebuild(s, y):
-        raise AssertionError("dilation rebuilt the spline")
-
-    monkeypatch.setattr(fp.symbols, "_not_a_knot_spline", no_rebuild)
-    shifted = fp.dilate(tab, 2.0)
-    assert shifted.phase is tab.phase
-    assert shifted.values is tab.values
-    assert shifted._coef is tab._coef
-    assert not shifted._coef.flags.writeable
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dilate_tabulated_refuses_radii_beyond_float_range():
     tab = fp.tabulate(fp.ClosedForm(1.0, 1.0), 1e-30, 1e30, 64)
@@ -334,9 +320,9 @@ def test_tabulated_large_n_matches_closed_form():
 )
 def test_spline_eval_is_the_horner_form(n, alpha, beta, lam, rows, rng_seed):
     # the stored-coefficient kernel gives, bit for bit, the Horner form on the
-    # intervals searchsorted finds; a dilated table reads its parent's
-    # coefficients on its own log-radii.  rows == 0 takes 1-d queries that
-    # include every node, otherwise (rows, 65) queries
+    # intervals searchsorted finds, on a table's grid and on a dilated one.
+    # rows == 0 takes 1-d queries that include every node, otherwise
+    # (rows, 65) queries
     base = fp.tabulate(fp.ClosedForm(alpha, beta), np.exp(-2.0), np.exp(2.0), n)
     tab = base if lam == 1.0 else fp.dilate(base, lam)
     s = tab.s
@@ -347,7 +333,7 @@ def test_spline_eval_is_the_horner_form(n, alpha, beta, lam, rows, rng_seed):
         q = s[0] + (s[-1] - s[0]) * rng.uniform(-0.1, 1.1, (rows, 65))
     idx = np.clip(np.searchsorted(s, q) - 1, 0, n - 2)
     y, c1, c2, c3 = fp.symbols._cubic_coefficients(
-        base.s, base.phase, fp.symbols._not_a_knot_spline(base.s, base.phase))[:, idx]
+        s, tab.phase, fp.symbols._not_a_knot_spline(s, tab.phase))[:, idx]
     t = q - s[idx]
     got = fp.symbols._spline_eval(tab, q)
     assert got.shape == q.shape
@@ -454,24 +440,6 @@ def test_closed_form_sup_distance_matches_a_dense_oracle(a1, a2, b1, b2, R):
     assert -1e-12 <= gap <= 2e-9
 
 
-@seed(12)
-@settings(max_examples=20, deadline=None)
-@given(
-    st.sampled_from([-1.0, 0.5, 0.8, 1.0, 2.0]),
-    st.floats(-2.0, 2.0),
-    st.floats(-0.5, 0.5),
-    st.floats(1.01, np.exp(2.0)),
-)
-def test_table_and_its_dilation_sup_distance_matches_a_dense_oracle(alpha, beta, shift, R):
-    # the table resolves its phase on all of [e^-3, e^3] (steps below 2.4
-    # rad), so both symbols hold any band up to R = e^2 after a shift of 0.5
-    tab = fp.tabulate(fp.ClosedForm(alpha, beta), np.exp(-3.0), np.exp(3.0), 4096)
-    dilated = fp.dilate(tab, float(np.exp(shift)))
-    for m1, m2 in [(dilated, tab), (tab, dilated)]:
-        gap = fp.band_sup_distance(m1, m2, fp.BandSpec(R)) - _dense_sup(m1, m2, R)
-        assert -1e-12 <= gap <= 2e-9
-
-
 @seed(13)
 @settings(max_examples=300, deadline=None)
 @given(
@@ -502,25 +470,25 @@ def test_extreme_closed_forms_sup_distance_is_a_number_or_a_phase_overflow(a1, s
 
 
 def test_band_sup_distance_evaluate_calls(evaluate_calls):
-    # a table against its dilation is read from the spline's coefficients,
-    # so no symbol is evaluated
-    r = log_grid(np.exp(-3.0), np.exp(3.0), 4096)
-    tab = fp.Tabulated(r, np.exp(1.3j * r**0.8))
-    dilated = fp.dilate(tab, 1.001)
-    evaluate_calls.clear()
-    assert fp.band_sup_distance(dilated, tab, fp.BandSpec(2.0)) > 0.0
+    # two closed forms are read from their phases at the band's ends and the
+    # one stationary radius, so no symbol is evaluated
+    band = fp.BandSpec(2.0)
+    assert fp.band_sup_distance(fp.ClosedForm(0.8, 1.3), fp.ClosedForm(0.8, 1.4), band) > 0.0
+    assert fp.band_sup_distance(fp.ClosedForm(0.8, 1.3), fp.ClosedForm(1.2, 1.3), band) > 0.0
     assert len(evaluate_calls) == 0
 
 
 def test_band_sup_distance_refuses_a_table_with_no_shared_spline():
-    # a table against a closed form, or against a table built on its own,
-    # has no exact range: refused once the band is known to be held
+    # no table shares its spline: a table against a closed form, another
+    # table or a dilation of itself has no exact range, and is refused once
+    # the band is known to be held
     r = log_grid(np.exp(-3.0), np.exp(3.0), 4096)
     tab = fp.Tabulated(r, np.exp(1.3j * r**0.8))
     same_samples = fp.Tabulated(r, np.exp(1.3j * r**0.8))
+    dilated = fp.dilate(tab, 1.001)
     band = fp.BandSpec(2.0)
     for m1, m2 in [(tab, fp.ClosedForm(0.8, 1.3)), (fp.ClosedForm(0.8, 1.3), tab),
-                   (tab, same_samples)]:
+                   (tab, same_samples), (dilated, tab), (tab, dilated)]:
         with pytest.raises(DomainError, match="^no exact band sup distance between"):
             fp.band_sup_distance(m1, m2, band)
     with pytest.raises(SymbolRangeError):
