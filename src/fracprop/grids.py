@@ -89,16 +89,6 @@ class SpatialGrid:
         """Nyquist frequency pi/dx."""
         return self.dxi * (self.n // 2)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpatialGrid)
-            and self.n == other.n
-            and self.x_max == other.x_max
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.x_max))
-
     def __repr__(self):
         return f"SpatialGrid(n={self.n}, x_max={self.x_max})"
 

@@ -8,8 +8,8 @@ interpolation of the spectrum at off-grid frequencies and is the one
 operation with a discretization budget (~1e-8 for spatially decaying
 signals), so every identity that crosses it carries that tolerance.  The
 interpolation itself is exact: the rescaled frequencies lie on a uniform grid,
-so each run of them is a fractional DFT, evaluated by Bluestein's chirp-z in
-O(n log n) time and O(n) memory.
+so one centred run of them is a fractional DFT, evaluated by Bluestein's
+chirp-z in O(n log n) time and O(n) memory.
 """
 
 import numpy as np
@@ -61,22 +61,21 @@ def _multiply_on_band(mvals, F, band):
     return _fresh(Spectrum, g, out)
 
 
-def _chirp_spectrum(values, grid, lam, k0, m):
-    """Spectrum of the samples at the m frequencies lam*dxi*(k0 + q), q < m.
+def _chirp_spectrum(values, grid, lam, K):
+    """Spectrum of the samples at the 2K + 1 frequencies lam*dxi*q, |q| <= K.
 
     The sum (dx/sqrt(2*pi)) * sum_j f_j exp(-i*xi_q*x_j) is a fractional DFT
     with angle theta = 2*pi*lam/n, evaluated exactly by Bluestein's chirp-z:
-    with centered indices J = j - n/2 (so x_j = dx*J) and Q = q - c, the
-    identity Q*J = (Q^2 + J^2 - (Q - J)^2)/2 turns it into one linear
-    convolution with the chirp exp(i*theta*D^2/2), done by FFTs of length at
-    least n + m - 1.  Every phase is an exact integer times theta/2, so its
-    rounding does not grow along the run.
+    with centered indices J = j - n/2 (so x_j = dx*J), the identity
+    q*J = (q^2 + J^2 - (q - J)^2)/2 turns it into one linear convolution with
+    the chirp exp(i*theta*D^2/2), done by FFTs of length at least n + 2K.
+    Every phase is an exact integer times theta/2, so its rounding does not
+    grow along the run.
     """
     n = grid.n
-    c = (m - 1) // 2
     J = np.arange(-(n // 2), n // 2, dtype=np.int64)
-    Q = np.arange(-c, m - c, dtype=np.int64)
-    D = np.arange(Q[0] - J[-1], Q[-1] - J[0] + 1, dtype=np.int64)
+    Q = np.arange(-K, K + 1, dtype=np.int64)
+    D = np.arange(-K - J[-1], K - J[0] + 1, dtype=np.int64)
     turns = round(lam)
     frac = lam - turns
 
@@ -85,10 +84,10 @@ def _chirp_spectrum(values, grid, lam, k0, m):
         # through I mod 2n exactly, only the fraction's phase is rounded
         return np.exp(-1j * np.pi / n * ((turns * (I % (2 * n))) % (2 * n) + frac * I))
 
-    size = 1 << (n + m - 2).bit_length()
-    a = values * chirp(2 * (k0 + c) * J + J * J)
+    size = 1 << (n + 2 * K - 1).bit_length()
+    a = values * chirp(J * J)
     h = np.conj(chirp(D * D))
-    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h, size))[n - 1:n - 1 + m]
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h, size))[n - 1:n + 2 * K]
     return conv * chirp(Q * Q) * (grid.dx / _SQRT_TWO_PI)
 
 
@@ -128,13 +127,15 @@ def dilate_signal(f, lam):
         )
     slack = 1.0 + 1e-12
     keep = (np.abs(g.xi) >= out_lo / slack) & (np.abs(g.xi) <= out_hi * slack)
-    out = np.zeros(g.n, dtype=complex)
-    # kept bins form one contiguous run of integer bin numbers per sign
+    # keep reads |xi| only, and the unpaired Nyquist bin lies past the limit,
+    # so the kept bin numbers are symmetric about 0: one centred run
+    # |q| <= K <= 7n/16 holds both signs (the gap around 0 is dropped), and
+    # its FFTs stay of length 2n
     idx = np.flatnonzero(keep)
     bins = np.where(idx < g.n // 2, idx, idx - g.n)
-    breaks = np.flatnonzero(np.diff(bins) != 1) + 1
-    for run, k in zip(np.split(idx, breaks), np.split(bins, breaks)):
-        out[run] = _chirp_spectrum(f.values, g, lam, int(k[0]), k.size)
+    K = int(np.abs(bins).max(initial=0))
+    out = np.zeros(g.n, dtype=complex)
+    out[idx] = _chirp_spectrum(f.values, g, lam, K)[bins + K]
     return inverse_transform(_fresh(Spectrum, g, out))
 
 

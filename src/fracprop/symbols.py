@@ -102,8 +102,9 @@ class Tabulated:
     __slots__ = ("r", "values", "s", "phase", "_coef", "_resolved")
 
     def __init__(self, r, values):
-        r = np.asarray(r, dtype=float)
-        values = np.asarray(values, dtype=complex)
+        # own copies: the table freezes its arrays, not the caller's
+        r = np.array(r, dtype=float)
+        values = np.array(values, dtype=complex)
         if r.ndim != 1 or r.shape != values.shape or r.size < 8:
             raise InvalidInputError("need matching 1-d arrays with >= 8 samples")
         s = _log_radii(r)

@@ -49,6 +49,12 @@ def _skip(name, reason):
             "skipped": True, "detail": reason}
 
 
+def _group_delay(group, edges):
+    """Largest group delay |alpha*beta|*xi**(alpha - 1) of one application of
+    the group's time-1 member over the band edges ``edges``."""
+    return abs(group.alpha) * abs(group.beta) * max(e ** (group.alpha - 1.0) for e in edges)
+
+
 def run_verification(alpha, beta, seed, fast=False):
     """Run the property suite; returns a JSON-ready report dict."""
     group = GroupSpec(alpha, beta)  # validates the (alpha, beta) combination
@@ -110,8 +116,7 @@ def run_verification(alpha, beta, seed, fast=False):
         # phase over the packet support; if that escapes the window the probe
         # wraps around and the check is meaningless at its tolerance
         xi_edges = (max(1.0 / band.R, carrier - 4.0 * width), carrier + 4.0 * width)
-        a_abs = abs(group.alpha)
-        delay = 2.0 * a_abs * abs(group.beta) * max(e ** (group.alpha - 1.0) for e in xi_edges)
+        delay = 2.0 * _group_delay(group, xi_edges)
         # conjugated_apply evolves the packet once more in a frame where its
         # spectrum is scaled by pair.a and its width by 1/pair.a: for alpha < 0
         # it is wider there and its delay larger.  Its tails fall below the
@@ -121,7 +126,7 @@ def run_verification(alpha, beta, seed, fast=False):
         k = np.sqrt(-2.0 * np.log(tol))
         inner_edges = (pair.a * max(1.0 / band.R, carrier - k * width),
                        pair.a * (carrier + k * width))
-        inner_delay = a_abs * abs(group.beta) * max(e ** (group.alpha - 1.0) for e in inner_edges)
+        inner_delay = _group_delay(group, inner_edges)
         inner_spread = k / (width * pair.a)
         xi_limit = grid.xi_max * (1.0 - BAND_MARGIN)
         margin_ok = (band.R * lam_star <= xi_limit

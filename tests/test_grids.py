@@ -373,7 +373,7 @@ def test_signal_csv_roundtrip(tmp_path):
     path = tmp_path / "sig.csv"
     fp.save_signal_csv(path, f)
     back = fp.load_signal_csv(path)
-    assert back.grid == g
+    assert (back.grid.n, back.grid.x_max) == (g.n, g.x_max)
     np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-16)
 
 

@@ -218,8 +218,9 @@ def test_verify_shares_forward_transforms(monkeypatch):
     # one inverse and one forward transform per transform probe, the probe
     # being T F for a random band spectrum F, so Plancherel, the round trip
     # and unitarity share both; the group law compares both sides on the band
-    # bins, so only T(t2) f is carried back to a signal.  A (2, 1) run makes
-    # 216 forward and 165 inverse calls, 116 and 90 with --fast
+    # bins, so only T(t2) f is carried back to a signal; each dilate_signal
+    # resamples with one chirp-z run (two forward and one inverse call).  A
+    # (2, 1) run makes 212 forward and 163 inverse calls, 112 and 88 with --fast
     calls = {"fft": 0, "ifft": 0}
 
     def counted(name):
@@ -232,7 +233,7 @@ def test_verify_shares_forward_transforms(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
-    for fast, expected in ((False, {"fft": 216, "ifft": 165}), (True, {"fft": 116, "ifft": 90})):
+    for fast, expected in ((False, {"fft": 212, "ifft": 163}), (True, {"fft": 112, "ifft": 88})):
         calls.update(fft=0, ifft=0)
         fp.run_verification(2.0, 1.0, seed=7, fast=fast)
         assert calls == expected, fast
@@ -273,27 +274,26 @@ def resampling_error(got, ref, values, grid):
     return float(np.linalg.norm(got - ref) / scale)
 
 
-def check_run(n, lam, k0, m, data_seed):
+def check_run(n, lam, K, data_seed):
     grid = fp.SpatialGrid(n, n / 16.0)
     rng = np.random.default_rng(data_seed)
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = _chirp_spectrum(values, grid, lam, k0, m)
-    ref = dense_spectrum(values, grid, lam * grid.dxi * (k0 + np.arange(m)))
-    assert resampling_error(got, ref, values, grid) <= 1e-12, (n, lam, k0, m)
+    got = _chirp_spectrum(values, grid, lam, K)
+    ref = dense_spectrum(values, grid, lam * grid.dxi * np.arange(-K, K + 1))
+    assert resampling_error(got, ref, values, grid) <= 1e-12, (n, lam, K)
 
 
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("lam", [1.0, -1.0, 1.0 / 16.0, -1.0 / 16.0, 16.0, -16.0,
                                  np.sqrt(2.0), -2.7])
 def test_chirp_spectrum_matches_dense_sum(n, lam):
-    # frequencies stay inside the Nyquist band, as every dilate_signal request does
+    # frequencies stay inside the Nyquist band and runs inside the grid's
+    # bin numbers, as every dilate_signal request does
     top = min(n // 2 - 1, int((n // 2 - 1) / abs(lam)))
-    check_run(n, lam, 0, top + 1, 1)           # whole k >= 0 run
-    check_run(n, lam, -top, top, 2)            # whole k < 0 run
-    check_run(n, lam, top // 3, max(1, top // 2), 3)   # interior runs of either sign
-    check_run(n, lam, -top // 2 - 1, max(1, top // 3), 4)
-    check_run(n, lam, top, 1, 5)               # runs of length 1
-    check_run(n, lam, -top, 1, 6)
+    check_run(n, lam, top, 1)                  # the widest run
+    check_run(n, lam, max(1, top // 2), 2)     # runs in between
+    check_run(n, lam, max(1, top // 3), 3)
+    check_run(n, lam, 1, 4)                    # the narrowest run
 
 
 @seed(11)
@@ -302,23 +302,19 @@ def test_chirp_spectrum_matches_dense_sum(n, lam):
     log_n=st.integers(6, 9),
     log_lam=st.floats(-4.0, 4.0),
     negative=st.booleans(),
-    start=st.floats(0.0, 1.0),
     length=st.floats(0.0, 1.0),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_chirp_spectrum_property(log_n, log_lam, negative, start, length, data_seed):
+def test_chirp_spectrum_property(log_n, log_lam, negative, length, data_seed):
     n = 2**log_n
     lam = (-1.0 if negative else 1.0) * 2.0**log_lam
-    top = max(1, int((n // 2 - 1) / abs(lam)))  # bins k with |lam*k| < n/2
-    lo = min(top, -top + int(start * (2 * top + 1)))
-    room = top - lo + 1 if lo >= 0 else -lo     # a run keeps the sign of lo
-    m = 1 + int(length * (room - 1))
-    check_run(n, lam, lo, m, data_seed)
+    top = max(1, int((n // 2 - 1) / abs(lam)))  # largest K with |lam*K| < n/2
+    check_run(n, lam, 1 + int(length * (top - 1)), data_seed)
 
 
 @pytest.mark.parametrize("lam", [1, -1, 2, -3])
 def test_chirp_spectrum_integer_factor_hits_fft_bins(lam):
-    # lam*k is a grid bin, so the resampled values are FFT outputs; the whole
+    # lam*q is a grid bin, so the resampled values are FFT outputs; the whole
     # turns of lam leave no rounding in the chirp phases, which keeps the
     # agreement at round-off even on a long grid
     n = 4096
@@ -327,23 +323,36 @@ def test_chirp_spectrum_integer_factor_hits_fft_bins(lam):
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     F = fp.forward_transform(fp.SampledSignal(grid, values)).values
     top = (n // 2 - 1) // abs(lam)
-    for k0, m in ((0, top + 1), (-top, top)):
-        got = _chirp_spectrum(values, grid, float(lam), k0, m)
-        ref = F[(lam * (k0 + np.arange(m))) % n]
-        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    for K in (1, top // 3, top):
+        got = _chirp_spectrum(values, grid, float(lam), K)
+        ref = F[(lam * np.arange(-K, K + 1)) % n]
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), K
+
+
+def test_dilate_signal_is_zero_when_no_bin_holds_the_rescaled_support():
+    # one occupied bin, k = 5, rescaled to k = 10/3: no bin lies in the
+    # rescaled support, so the run is empty and the result is zero
+    grid = fp.SpatialGrid(64, 8.0)
+    spike = np.zeros(grid.n, dtype=complex)
+    spike[5] = 1.0
+    out = fp.dilate_signal(fp.inverse_transform(fp.Spectrum(grid, spike)), 1.5)
+    assert not np.any(out.values)
 
 
 @pytest.mark.parametrize("lam", [np.sqrt(2.0), -1.0 / np.sqrt(3.0), 2.0])
 def test_dilate_signal_matches_dense_resampling(lam):
-    # both sign runs of kept bins go through the resampler
+    # the kept bins of both signs come from one centred run of the resampler,
+    # though the packet's spectrum lies on the positive side only
     grid = fp.SpatialGrid(1024, 64.0)
-    f = band_packet(grid, fp.BandSpec(4.0), width=0.25, carrier=1.5)
+    f = band_packet(grid, fp.BandSpec(4.0), width=0.25, carrier=2.0)
     out = fp.dilate_signal(f, lam)
     F = fp.forward_transform(f).values
     occupied = np.abs(F) > 1e-13 * np.abs(F).max()
     radii = np.abs(grid.xi[occupied])
     keep = ((np.abs(grid.xi) >= radii.min() / abs(lam) / (1.0 + 1e-12))
             & (np.abs(grid.xi) <= radii.max() / abs(lam) * (1.0 + 1e-12)))
+    assert not np.any(occupied & (grid.xi < 0))
+    assert np.array_equal(keep, keep[-np.arange(grid.n)])  # bin k kept with bin -k
     assert np.any(keep & (grid.xi > 0)) and np.any(keep & (grid.xi < 0))
     spectrum = np.zeros(grid.n, dtype=complex)
     spectrum[keep] = dense_spectrum(f.values, grid, lam * grid.xi[keep])

@@ -634,6 +634,20 @@ def test_tabulated_constructor_validation():
         fp.Tabulated(-r[::-1], np.ones(64, dtype=complex))  # negative radii
 
 
+def test_tabulated_leaves_the_callers_arrays_writeable():
+    r = log_grid(0.1, 10.0, 64)
+    values = np.exp(1.3j * r**0.8)
+    tab = fp.Tabulated(r, values)
+    assert r.flags.writeable and values.flags.writeable
+    kept_r, kept_values = tab.r.copy(), tab.values.copy()
+    r[:] = 1.0
+    values[:] = -1.0
+    np.testing.assert_array_equal(tab.r, kept_r)
+    np.testing.assert_array_equal(tab.values, kept_values)
+    for arr in (tab.r, tab.values, tab.s, tab.phase):
+        assert not arr.flags.writeable
+
+
 def test_coarse_tabulation_refuses_unresolved_radii():
     # 64 nodes of exp(50i*r^2) on [e^-3, e^3]: the phase step passes pi near
     # r = 0.6, and beyond it the spline of the lifted phase errs by up to 2
